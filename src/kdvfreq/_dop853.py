@@ -113,28 +113,30 @@ _E5 = np.array([
 
 _MAX_STEPS = 500_000
 
+# b, e5 and e3 weights stacked, so the step update and both error estimates
+# are one contraction of the stage array
+_BE = np.stack([_B, _E5, _E3])
 
-def _rhs(a, y, with_dlam):
-    """Hill system right-hand side; a = q(x) - lam, shape (B,)."""
-    out = np.empty_like(y)
-    out[0] = y[1]
-    out[1] = a * y[0]
-    out[2] = y[3]
-    out[3] = a * y[2]
-    if with_dlam:
-        out[4] = y[5]
-        out[5] = a * y[4] - y[0]
-        out[6] = y[7]
-        out[7] = a * y[6] - y[2]
-    return out
+
+def _pairs(v):
+    """Views (u, u', z', y) of a state laid out as (dim/2, 2, B).
+
+    The pairs of v are (y1, y1'), (y2, y2') and, when carried, (z1, z1'),
+    (z2, z2'); u and u' run over all pairs, z' over the z pairs and y over
+    the y pairs.
+    """
+    return v[:, 0], v[:, 1], v[2:, 1], v[:2, 0]
 
 
 def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
     """Integrate the fundamental (and variational) Hill system over [0, 1].
 
-    qfun: scalar x -> q(x); lams: 1-d array of spectral parameters, real or
-    complex. Returns the state matrix at x=1, shape (4, B) or (8, B) with rows
-    (y1, y1', y2, y2'[, z1, z1', z2, z2']) where z = d y / d lam.
+    qfun: elementwise x -> q(x); it is called once per step with the array
+    of the 12 stage nodes and must return an array of q values of the same
+    shape (a 0-d argument for the initial point). lams: 1-d array of
+    spectral parameters, real or complex. Returns the state matrix at x=1,
+    shape (4, B) or (8, B) with rows (y1, y1', y2, y2'[, z1, z1', z2, z2'])
+    where z = d y / d lam.
     """
     lams = np.atleast_1d(lams)
     dtype = np.result_type(lams.dtype, np.float64)
@@ -149,8 +151,33 @@ def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
     h = real_dtype.type(min(0.1, 1.0 / math.sqrt(lam_scale)))
     x = real_dtype.type(0.0)
     one = real_dtype.type(1.0)
-    k = np.empty((_N_STAGES, dim, nb), dtype=dtype)
-    f0 = _rhs(qfun(x) - lams, y, with_dlam)
+    c = _C.astype(real_dtype)
+    tableau = _A.astype(dtype)
+    weights = _BE.astype(dtype)
+
+    # k[s] holds stage s as (dim/2, 2, B): pairs (u, u') of y1, y2[, z1, z2].
+    # k[0] is the right-hand side at the current (x, y); it is rewritten only
+    # when a step is accepted.
+    k = np.empty((_N_STAGES, dim // 2, 2, nb), dtype=dtype)
+    k2 = k.reshape(_N_STAGES, dim * nb)
+    ah = np.empty_like(tableau)
+    a = np.empty((_N_STAGES, nb), dtype=dtype)
+    nodes = np.empty(_N_STAGES, dtype=real_dtype)
+    ys = np.empty((dim // 2, 2, nb), dtype=dtype)
+    ys2 = ys.reshape(-1)
+    sums = np.empty((3, dim * nb), dtype=dtype)
+    k0 = _pairs(k[0])
+    stages = [(ah[s, :s], k2[:s], _pairs(k[s]), a[s]) for s in range(1, _N_STAGES)]
+    ys_pairs = _pairs(ys)
+
+    def rhs(out, a_row, v):
+        """y'' = a y and z'' = a z - y, from and into the views of _pairs."""
+        out[0][...] = v[1]
+        np.multiply(v[0], a_row, out=out[1])
+        if with_dlam:
+            np.subtract(out[2], v[3], out=out[2])
+
+    rhs(k0, qfun(x) - lams, _pairs(y.reshape(dim // 2, 2, nb)))
     steps = 0
     while x < one:
         if steps > _MAX_STEPS:
@@ -160,19 +187,21 @@ def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
         if h < 1e-15:
             raise IntegrationError(
                 f"step-size underflow at x={x:.6f}, lambda scale {lam_scale:.6g}")
-        k[0] = f0
-        for s in range(1, _N_STAGES):
-            dy = np.tensordot(_A[s, :s], k[:s], axes=(0, 0))
-            a = qfun(x + real_dtype.type(_C[s]) * h) - lams
-            k[s] = _rhs(a, y + h * dy, with_dlam)
-        dy = np.tensordot(_B, k, axes=(0, 0))
-        y_new = y + h * dy
+        np.multiply(c, h, out=nodes)
+        nodes += x
+        np.subtract(qfun(nodes)[:, None], lams, out=a)
+        np.multiply(tableau, h, out=ah)
+        y2 = y.reshape(-1)
+        for row, prev, out, a_row in stages:
+            np.dot(row, prev, out=ys2)
+            ys2 += y2
+            rhs(out, a_row, ys_pairs)
+        np.dot(weights, k2, out=sums)
+        y_new = y + h * sums[0].reshape(dim, nb)
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 = np.tensordot(_E5, k, axes=(0, 0)) / scale
-        err3 = np.tensordot(_E3, k, axes=(0, 0)) / scale
-        e5 = np.mean(np.abs(err5) ** 2, axis=0)
-        e3 = np.mean(np.abs(err3) ** 2, axis=0)
+        err = np.abs(sums[1:].reshape(2, dim, nb) / scale) ** 2
+        e5, e3 = err.sum(axis=1) / dim
         denom = e5 + 0.01 * e3
         with np.errstate(divide="ignore", invalid="ignore"):
             err = abs(h) * np.where(denom > 0, e5 / np.sqrt(denom), 0.0)
@@ -183,9 +212,10 @@ def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
             steps += 1
             continue
         if err_norm <= 1.0:
+            # the last node is x + 1.0 * h, exactly the new x
             x += h
             y = y_new
-            f0 = _rhs(qfun(x) - lams, y, with_dlam)
+            rhs(k0, a[-1], _pairs(y.reshape(dim // 2, 2, nb)))
         factor = 0.9 * (err_norm ** (-1.0 / 8.0)) if err_norm > 0 else 5.0
         h *= min(5.0, max(0.25, factor))
         steps += 1

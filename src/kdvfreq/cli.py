@@ -74,8 +74,12 @@ def _load_potential(path: str):
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(v) for v in text.split(",") if v]
+        out = list(range(int(a), int(b) + 1))
+    else:
+        out = [int(v) for v in text.split(",") if v]
+    if not out:
+        raise ValidationError(f"empty index range {text!r}")
+    return out
 
 
 def _parse_config(path: str) -> dict:
@@ -218,6 +222,8 @@ def _cmd_resonance(args):
 
 
 def _cmd_seqtest(args):
+    if args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
     rng = np.random.default_rng(args.seed)
     worst_g = 0.0
     for _ in range(args.samples):
@@ -265,9 +271,15 @@ def _cmd_evolve(args):
     dt, M, stride = args.dt, args.Mgrid, args.stride
     if args.config:
         cfg = _parse_config(args.config)
-        dt = float(cfg.get("dt", dt)) if cfg.get("dt") or dt is None else dt
+        dt = float(cfg["dt"]) if "dt" in cfg else dt
         M = int(cfg["M"]) if "M" in cfg else M
         stride = int(cfg["stride"]) if "stride" in cfg else stride
+    if args.T <= 0:
+        raise ValidationError("--T must be positive")
+    if dt is not None and dt <= 0:
+        raise ValidationError("dt must be positive")
+    if stride is not None and stride < 1:
+        raise ValidationError("stride must be at least 1")
     traj = pde.evolve(q, args.T, args.eq, dt=dt, M=M, stride=stride)
     lines = []
     for i, t in enumerate(traj.times):
@@ -376,7 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except ValueError as exc:       # a ValidationError, or a bad value parsed late
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -29,18 +29,18 @@ _LPI = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def _qfun(q: Potential, dtype):
-    """Scalar x -> q(x) closure in the requested real dtype."""
+    """Elementwise x -> q(x) closure in the requested real dtype."""
     pi2 = 2 * (_LPI if dtype == np.longdouble else np.pi)
     mean = dtype(q.mean)
     if not q.modes:
-        return lambda x: mean
-    ms = np.array(q.modes, dtype=dtype)
+        return lambda x: np.full(np.shape(x), mean)
+    w = pi2 * np.array(q.modes, dtype=dtype)
     re = 2.0 * np.array([c.real for c in q.coeffs], dtype=dtype)
     im = 2.0 * np.array([c.imag for c in q.coeffs], dtype=dtype)
 
     def qf(x):
-        ph = pi2 * ms * x
-        return mean + np.dot(re, np.cos(ph)) - np.dot(im, np.sin(ph))
+        ph = np.multiply.outer(x, w)
+        return mean + np.cos(ph) @ re - np.sin(ph) @ im
 
     return qf
 

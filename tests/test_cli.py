@@ -124,6 +124,17 @@ def test_evolve_config_file(capsys, pot_file, tmp_path):
     assert len(json.loads(out.splitlines()[0])["modes"]) == 32
 
 
+def test_evolve_config_without_dt_uses_default(capsys, pot_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 32\nstride = 5\n")
+    code, out = run(capsys, ["evolve", "--potential", pot_file, "--eq", "airy",
+                             "--T", "0.001", "--config", str(cfg)])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert json.loads(lines[-1])["t"] == pytest.approx(0.001, rel=1e-12)
+    assert len(json.loads(lines[0])["modes"]) == 32
+
+
 def test_crosscheck_report(capsys, pot_file):
     code, out = run(capsys, ["crosscheck", "--potential", pot_file, "--eq", "kdv",
                              "--n", "1", "--T", "0.02"])
@@ -144,6 +155,22 @@ def test_malformed_potential_exit_2(capsys, tmp_path):
     p.write_text('{"modes": [{"n": 0, "re": 1.0}]}')
     code, _ = run(capsys, ["spectrum", "--potential", str(p), "--N", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "0"],
+    ["freq", "--n", "3..1"],
+    ["bnf", "--I", "a"],
+    ["resonance", "--A", "x"],
+    ["seqtest", "--samples", "0"],
+    ["evolve", "--eq", "airy", "--T", "-1"],
+    ["evolve", "--eq", "airy", "--T", "0.001", "--dt", "-0.0001"],
+    ["evolve", "--eq", "airy", "--T", "0.001", "--stride", "0"],
+])
+def test_bad_value_exit_2(capsys, pot_file, argv):
+    code, out = run(capsys, argv + ["--potential", pot_file])
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_flag_exit_2(capsys):
