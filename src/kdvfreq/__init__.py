@@ -16,7 +16,7 @@ from .invariants import (ActionVector, MomentTable, FrequencyReport,
                          HamiltonianValues, action, action_vector, moments,
                          freq_kdv, freq_kdv2, hamiltonians, frequency_report,
                          frequency_jacobian)
-from .bnf import (BnfModel, bnf_predict, det_CA, singular_set, resonance_scan,
+from .bnf import (bnf_predict, det_CA, singular_set, resonance_scan,
                   comb_identities_check)
 from .seqspace import (WeightedSeq, weighted_norm, op_A, op_G, inf_product,
                        sin_product, schur_invertible)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-__all__ = ["BnfModel", "bnf_predict", "lambda_coeff", "c_matrix", "det_CA",
+__all__ = ["bnf_predict", "lambda_coeff", "c_matrix", "det_CA",
            "singular_set", "resonance_scan", "comb_identities_check",
            "ResonanceVector"]
 
@@ -43,22 +43,6 @@ def c_matrix(which: str, c: float, A) -> np.ndarray:
         for b, j in enumerate(A):
             out[a, b] = 60.0 * c if i == j else -20.0 * (2 * i * math.pi) * (2 * j * math.pi)
     return out
-
-
-@dataclass(frozen=True)
-class BnfModel:
-    """Order-four normal-form data at mean value c."""
-
-    c: float
-
-    def lambda1(self, n): return lambda_coeff(n, self.c, "kdv")
-
-    def lambda2(self, n): return lambda_coeff(n, self.c, "kdv2")
-
-    def C1(self, i, j): return 6.0 if i == j else 0.0
-
-    def C2(self, i, j):
-        return 60.0 * self.c if i == j else -20.0 * (2 * i * math.pi) * (2 * j * math.pi)
 
 
 def _action_array(I) -> np.ndarray:
@@ -199,10 +183,6 @@ class ResonanceVector:
 
     k_A: tuple
     k_Z: tuple          # pairs (index, value)
-
-    @property
-    def z_weight(self) -> int:
-        return sum(abs(v) for _, v in self.k_Z)
 
 
 def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,

@@ -67,7 +67,7 @@ def _load_potential(path: str):
     try:
         with open(path) as fh:
             return potential_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read potential file {path}: {exc}") from exc
 
 
@@ -82,34 +82,19 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
-def _parse_config(path: str) -> dict:
-    """TOML-like key=value lines; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line: {line!r}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            out[key] = val
-    return out
-
-
-def _add_common(p):
-    p.add_argument("--potential", help="potential JSON file")
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--nodes", type=int, default=96)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--longdouble", action="store_true",
-                   help="extended-precision spectral solves")
+# Flags shared by several subcommands; each subcommand declares only the
+# ones its handler reads.
+_SHARED = {
+    "potential": dict(required=True, help="potential JSON file"),
+    "N": dict(type=int, default=8),
+    "M": dict(type=int, default=None),
+    "K": dict(type=int, default=None),
+    "tol": dict(type=float, default=1e-10),
+    "nodes": dict(type=int, default=96),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "longdouble": dict(action="store_true", help="extended-precision spectral solves"),
+    "c": dict(type=float, default=0.0),
+}
 
 
 def _dtype(args):
@@ -147,7 +132,7 @@ def _cmd_actions(args):
     return 0
 
 
-def _freq_common(args, dump_moments=False):
+def _cmd_freq(args):
     q = _load_potential(args.potential)
     ns = _parse_range(args.n) if args.n else list(range(1, args.N + 1))
     N = max(ns)
@@ -163,13 +148,8 @@ def _freq_common(args, dump_moments=False):
     else:
         obj = {"N": N, "K": rep.K, "mean": rep.mean, "H0": rep.H0,
                "rows": [list(r) for r in rows]}
-        if dump_moments:
-            spec = invariants.spectrum_for(q.drop_mean(), N, dtype=_dtype(args),
-                                           tol=args.tol)
-            psis = {n: invariants.psi_for(spec, n, nodes=args.nodes)
-                    for n in range(1, N + 1)}
-            mom = invariants.moments(q.drop_mean(), spec, psis, N, K=args.K,
-                                     nodes=args.nodes)
+        if args.dump_moments:
+            mom = rep.moments
             obj["omega2_moments"] = [[float(v) for v in row] for row in mom.omega2]
             obj["omega4_moments"] = [[float(v) for v in row] for row in mom.omega4]
             obj["R"] = {f"{k},{m}": float(v) for (k, m), v in sorted(mom.R.items())}
@@ -177,18 +157,11 @@ def _freq_common(args, dump_moments=False):
     return 0
 
 
-def _cmd_freq(args):
-    return _freq_common(args, dump_moments=args.dump_moments)
-
-
 def _cmd_hamiltonians(args):
-    q = _load_potential(args.potential).drop_mean()
-    spec = invariants.spectrum_for(q, args.N, dtype=_dtype(args), tol=args.tol)
-    psis = {n: invariants.psi_for(spec, n, M=args.M, nodes=args.nodes)
-            for n in range(1, args.N + 1)}
-    mom = invariants.moments(q, spec, psis, args.N, K=args.K, nodes=args.nodes)
-    acts = invariants.action_vector(q, spec, nodes=args.nodes)
-    h = invariants.hamiltonians(q, spec, acts, mom)
+    u = _load_potential(args.potential)
+    rep = invariants.frequency_report(u, args.N, M=args.M, K=args.K, nodes=args.nodes,
+                                      dtype=_dtype(args), tol=args.tol)
+    h = invariants.hamiltonians(u.drop_mean(), rep.spectrum, rep.actions, rep.moments)
     obj = {"H0": h.H0, "H1": h.H1, "H2": h.H2,
            "H1_star": h.H1_star, "H1_star_subtraction": h.H1_star_subtraction,
            "H2_star": h.H2_star, "H2_star_subtraction": h.H2_star_subtraction,
@@ -268,19 +241,13 @@ def _cmd_flow_exp(args):
 
 def _cmd_evolve(args):
     q = _load_potential(args.potential)
-    dt, M, stride = args.dt, args.Mgrid, args.stride
-    if args.config:
-        cfg = _parse_config(args.config)
-        dt = float(cfg["dt"]) if "dt" in cfg else dt
-        M = int(cfg["M"]) if "M" in cfg else M
-        stride = int(cfg["stride"]) if "stride" in cfg else stride
     if args.T <= 0:
         raise ValidationError("--T must be positive")
-    if dt is not None and dt <= 0:
-        raise ValidationError("dt must be positive")
-    if stride is not None and stride < 1:
-        raise ValidationError("stride must be at least 1")
-    traj = pde.evolve(q, args.T, args.eq, dt=dt, M=M, stride=stride)
+    if args.dt is not None and args.dt <= 0:
+        raise ValidationError("--dt must be positive")
+    if args.stride is not None and args.stride < 1:
+        raise ValidationError("--stride must be at least 1")
+    traj = pde.evolve(q, args.T, args.eq, dt=args.dt, M=args.Mgrid, stride=args.stride)
     lines = []
     for i, t in enumerate(traj.times):
         uh = traj.states[i]
@@ -312,70 +279,61 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="spectral frequencies of KdV / KdV2")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("spectrum", help="periodic/Dirichlet/critical spectra")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
+    def command(name, func, help, *shared):
+        # no prefix matching: `actions --n 3` must not quietly set --nodes
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in shared:
+            p.add_argument("--" + flag, **_SHARED[flag])
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("actions", help="action variables")
-    _add_common(p)
-    p.set_defaults(func=_cmd_actions)
+    spectral = ("potential", "N", "tol", "longdouble")
+    command("spectrum", _cmd_spectrum, "periodic/Dirichlet/critical spectra",
+            *spectral, "format")
+    command("actions", _cmd_actions, "action variables", *spectral, "nodes", "format")
 
-    for name in ("freq", "freq2"):
-        p = sub.add_parser(name, help="frequency tables (moment route)")
-        _add_common(p)
-        p.add_argument("--n", default=None, help="index range like 1..8")
-        p.add_argument("--dump-moments", action="store_true")
-        p.set_defaults(func=_cmd_freq)
+    p = command("freq", _cmd_freq, "frequency tables (moment route)",
+                *spectral, "M", "K", "nodes", "format")
+    p.add_argument("--n", default=None, help="index range like 1..8")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--dump-moments", action="store_true")
 
-    p = sub.add_parser("hamiltonians", help="direct and renormalized Hamiltonians")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hamiltonians)
+    command("hamiltonians", _cmd_hamiltonians, "direct and renormalized Hamiltonians",
+            *spectral, "M", "K", "nodes")
 
-    p = sub.add_parser("bnf", help="normal-form prediction")
-    _add_common(p)
+    p = command("bnf", _cmd_bnf, "normal-form prediction", "N", "c")
     p.add_argument("--I", default="", help="comma list I_1,I_2,...")
-    p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--which", choices=("kdv", "kdv2"), default="kdv")
-    p.set_defaults(func=_cmd_bnf)
 
-    p = sub.add_parser("resonance", help="nondegeneracy certificate")
-    _add_common(p)
+    p = command("resonance", _cmd_resonance, "nondegeneracy certificate", "c")
     p.add_argument("--A", default="1,2")
-    p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--Kmax", type=int, default=6)
     p.add_argument("--window", type=int, default=40)
-    p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("seqtest", help="sequence-space operator checks")
-    _add_common(p)
+    p = command("seqtest", _cmd_seqtest, "sequence-space operator checks")
     p.add_argument("--samples", type=int, default=500)
-    p.set_defaults(func=_cmd_seqtest)
+    p.add_argument("--seed", type=int, default=12345)
 
-    p = sub.add_parser("flow-exp", help="non-uniform-continuity experiment")
-    _add_common(p)
+    p = command("flow-exp", _cmd_flow_exp, "non-uniform-continuity experiment")
     p.add_argument("--which", choices=("kdv", "kdv2-hs", "kdv2-level"), default="kdv")
     p.add_argument("--sigma", type=float, default=0.125)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--m", default="1..40")
-    p.set_defaults(func=_cmd_flow_exp)
 
-    p = sub.add_parser("evolve", help="pseudo-spectral time integration")
-    _add_common(p)
+    p = command("evolve", _cmd_evolve, "pseudo-spectral time integration", "potential")
     p.add_argument("--eq", choices=("airy", "kdv", "kdv2"), default="kdv")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--Mgrid", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value file for dt/M/stride")
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("crosscheck", help="moment-route vs PDE-route frequency")
-    _add_common(p)
+    p = command("crosscheck", _cmd_crosscheck, "moment-route vs PDE-route frequency",
+                "potential", "tol", "longdouble", "K", "nodes")
     p.add_argument("--eq", choices=("kdv", "kdv2"), default="kdv")
     p.add_argument("--n", required=True)
     p.add_argument("--T", type=float, default=None)
-    p.set_defaults(func=_cmd_crosscheck)
 
     return ap
 

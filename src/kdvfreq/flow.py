@@ -60,11 +60,6 @@ class BirkhoffState:
         val = self.z.get(n, 0.0) * self.z.get(-n, 0.0)
         return float(np.real(val))
 
-    def h_norm(self, sigma: float) -> float:
-        """Weighted l2 norm with weight |n|^sigma over the support."""
-        return math.sqrt(sum(float(abs(n)) ** (2.0 * sigma) * abs(v) ** 2
-                             for n, v in self.z.items()))
-
     def diff_norm(self, other: "BirkhoffState", sigma: float) -> float:
         ns = set(self.z) | set(other.z)
         return math.sqrt(sum(

@@ -240,6 +240,8 @@ def periodic_spectrum(q: Potential, N: int, tol: float = 1e-10,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     dtype = np.dtype(dtype).type
     eps = float(np.finfo(dtype).eps)
     if ode_tol is None:

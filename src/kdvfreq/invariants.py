@@ -121,6 +121,8 @@ def action(q: Potential, spec: HillSpectrum, n: int, nodes: int = 96):
 
 def action_vector(q: Potential, spec: HillSpectrum, N: int | None = None,
                   nodes: int = 96) -> ActionVector:
+    if nodes < 1:
+        raise ValidationError("nodes must be at least 1")
     N = spec.N if N is None else N
     I = np.zeros(N + 1)
     ratio = np.full(N + 1, np.nan)
@@ -250,7 +252,8 @@ def r_moment_without_shortcircuit(q: Potential, spec: HillSpectrum, k: int,
 
 @dataclass
 class FrequencyReport:
-    """omega_n^(1), omega_n^(2) and their renormalized parts through index N."""
+    """omega_n^(1), omega_n^(2) and their renormalized parts through index N,
+    with the actions, spectrum and moments they were computed from."""
 
     N: int
     K: int
@@ -264,15 +267,8 @@ class FrequencyReport:
     tail2: np.ndarray
     warn: np.ndarray
     actions: ActionVector = field(repr=False, default=None)
-
-    def to_rows(self):
-        rows = []
-        for n in range(1, self.N + 1):
-            rows.append((n, self.actions.I[n] if self.actions is not None else 0.0,
-                         self.omega1[n], self.omega1_star[n],
-                         self.omega2[n], self.omega2_star[n],
-                         max(self.tail1[n], self.tail2[n])))
-        return rows
+    spectrum: HillSpectrum = field(repr=False, default=None)
+    moments: MomentTable = field(repr=False, default=None)
 
 
 def _collapsed_tail_bound(spec: HillSpectrum, n: int, weight) -> float:
@@ -350,7 +346,8 @@ def frequency_report(u: Potential, N: int, M: int | None = None,
     rep = FrequencyReport(N=N, K=mom.K, mean=c, H0=H0,
                           omega1=omega1, omega1_star=o1s,
                           omega2=omega2, omega2_star=o2s,
-                          tail1=t1, tail2=t2, warn=warn, actions=acts)
+                          tail1=t1, tail2=t2, warn=warn, actions=acts,
+                          spectrum=spec, moments=mom)
     return rep
 
 

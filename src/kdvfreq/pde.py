@@ -167,7 +167,7 @@ def evolve(q: Potential, T: float, eq: str = "kdv", dt: float | None = None,
         raise ValidationError("eq must be 'airy', 'kdv' or 'kdv2'")
     dt = dflt["dt"] if dt is None else dt
     M = dflt["M"] if M is None else M
-    if M & (M - 1):
+    if M < 1 or M & (M - 1):
         raise ValidationError("grid size M must be a power of two")
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps

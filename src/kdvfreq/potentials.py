@@ -167,5 +167,7 @@ def potential_from_json(text: str) -> Potential:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "modes" not in obj:
         raise ValueError("potential JSON must have 'mean' and 'modes' fields")
+    if not isinstance(obj["modes"], list) or not all(isinstance(m, dict) for m in obj["modes"]):
+        raise ValueError("potential 'modes' must be a list of {n, re, im} objects")
     pairs = [(int(m["n"]), complex(float(m["re"]), float(m.get("im", 0.0)))) for m in obj["modes"]]
     return make_potential(pairs, float(obj.get("mean", 0.0)))

@@ -323,6 +323,8 @@ def psi_solve(spec: HillSpectrum, n: int, M: int | None = None,
     """
     if n < 1 or n > spec.N:
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
+    if nodes < 1:
+        raise ValidationError("nodes must be at least 1")
     M = max(2 * spec.N, 32) if M is None else M
     if M < spec.N:
         raise ValidationError("truncation M must cover the spectrum")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kdvfreq import invariants
 from kdvfreq.cli import main
 from kdvfreq.potentials import potential_to_json, single_mode
 
@@ -64,6 +65,24 @@ def test_dump_moments(capsys, pot_file):
     assert "omega2_moments" in obj and "R" in obj
 
 
+def test_dump_moments_come_from_the_report_psi_family(capsys, tmp_path, monkeypatch):
+    pot_file = tmp_path / "dump.json"        # a potential no other test caches
+    pot_file.write_text(potential_to_json(single_mode(1, 0.07)))
+    solved = []
+    psi_solve = invariants.psi_solve
+
+    def spy(spec, n, M=None, **kwargs):
+        solved.append((n, M))
+        return psi_solve(spec, n, M=M, **kwargs)
+
+    monkeypatch.setattr(invariants, "psi_solve", spy)
+    code, out = run(capsys, ["freq", "--potential", str(pot_file), "--n", "1..2",
+                             "--M", "40", "--dump-moments"])
+    assert code == 0
+    assert "omega2_moments" in json.loads(out)
+    assert sorted(solved) == [(1, 40), (2, 40)]
+
+
 def test_actions_command(capsys, pot_file):
     code, out = run(capsys, ["actions", "--potential", pot_file, "--N", "2",
                              "--format", "csv"])
@@ -115,26 +134,6 @@ def test_evolve_jsonl(capsys, pot_file):
     assert len(first["modes"]) == 32
 
 
-def test_evolve_config_file(capsys, pot_file, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("dt = 1e-4\nM = 32\nstride = 5  # sample every 5 steps\n")
-    code, out = run(capsys, ["evolve", "--potential", pot_file, "--eq", "airy",
-                             "--T", "0.001", "--config", str(cfg)])
-    assert code == 0
-    assert len(json.loads(out.splitlines()[0])["modes"]) == 32
-
-
-def test_evolve_config_without_dt_uses_default(capsys, pot_file, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("M = 32\nstride = 5\n")
-    code, out = run(capsys, ["evolve", "--potential", pot_file, "--eq", "airy",
-                             "--T", "0.001", "--config", str(cfg)])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert json.loads(lines[-1])["t"] == pytest.approx(0.001, rel=1e-12)
-    assert len(json.loads(lines[0])["modes"]) == 32
-
-
 def test_crosscheck_report(capsys, pot_file):
     code, out = run(capsys, ["crosscheck", "--potential", pot_file, "--eq", "kdv",
                              "--n", "1", "--T", "0.02"])
@@ -157,6 +156,13 @@ def test_malformed_potential_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+READS_POTENTIAL = {"spectrum", "actions", "freq", "hamiltonians", "evolve", "crosscheck"}
+BAD_POTENTIALS = {
+    "@list-modes": '{"mean": 0.0, "modes": [[1, 0.05, 0.0]]}',
+    "@null-mean": '{"mean": null, "modes": []}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--N", "0"],
     ["freq", "--n", "3..1"],
@@ -166,11 +172,50 @@ def test_malformed_potential_exit_2(capsys, tmp_path):
     ["evolve", "--eq", "airy", "--T", "-1"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--dt", "-0.0001"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--stride", "0"],
+    ["actions", "--N", "2", "--nodes", "0"],
+    ["freq", "--n", "1..2", "--nodes", "0"],
+    ["evolve", "--eq", "airy", "--T", "0.001", "--Mgrid", "0"],
+    ["spectrum", "--N", "2", "--tol", "-1"],
+    ["spectrum", "--N", "2", "--potential", "@list-modes"],
+    ["spectrum", "--N", "2", "--potential", "@null-mean"],
 ])
-def test_bad_value_exit_2(capsys, pot_file, argv):
-    code, out = run(capsys, argv + ["--potential", pot_file])
+def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
+    for i, arg in enumerate(argv):
+        if arg in BAD_POTENTIALS:
+            path = tmp_path / "bad.json"
+            path.write_text(BAD_POTENTIALS[arg])
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
+    if argv[0] in READS_POTENTIAL and "--potential" not in argv:
+        argv = argv + ["--potential", pot_file]
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert out == ""
+    assert captured.out == ""
+    assert "unrecognized arguments" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonance", "--longdouble"],
+    ["evolve", "--eq", "airy", "--T", "0.001", "--format", "csv"],
+    ["bnf", "--jobs", "7"],
+    ["seqtest", "--potential", "q.json"],
+    ["actions", "--n", "3"],          # a prefix of --nodes
+])
+def test_ignored_flag_exit_2(capsys, pot_file, argv):
+    if argv[0] in READS_POTENTIAL:
+        argv = argv + ["--potential", pot_file]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_spectral_command_needs_potential(capsys):
+    code = main(["spectrum", "--N", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--potential" in captured.err
 
 
 def test_unknown_flag_exit_2(capsys):
@@ -186,8 +231,8 @@ def test_output_file(tmp_path, pot_file, capsys):
     assert json.loads(out_path.read_text())["N"] == 2
 
 
-def test_freq2_alias_and_longdouble(capsys, pot_file):
-    code, out = run(capsys, ["freq2", "--potential", pot_file, "--n", "1..2",
+def test_freq_longdouble(capsys, pot_file):
+    code, out = run(capsys, ["freq", "--potential", pot_file, "--n", "1..2",
                              "--format", "csv", "--longdouble"])
     assert code == 0
     header = out.splitlines()[0].split(",")
