@@ -1,8 +1,9 @@
 """Hill spectra at desk scale: periodic eigenvalues, gaps, and collapse.
 
 Computes the periodic / Dirichlet / critical spectra of a two-mode
-potential by shooting and prints the gap geometry, including which gaps
-the solver can resolve before they sink below the discriminant noise.
+potential (edges from the Fourier Hill matrix, Dirichlet eigenvalues by
+shooting) and prints the gap geometry, including which gaps the solver can
+resolve before they sink below the detection floor.
 """
 import numpy as np
 
@@ -22,10 +23,10 @@ for n in range(1, 9):
           f"{bool(spec.open_gap[n])}")
 
 print("""
-Gaps shrink superexponentially; once the discriminant bump over a gap
-falls below the shooting noise the gap is reported exactly collapsed
-(lambda_- = lambda_+ = lambda_* = tau). Extended precision pushes the
-floor three orders further down:""")
+Gaps shrink superexponentially; once a gap falls below its detection
+floor (three times its error bound, and never below 1e-9) it is reported
+exactly collapsed (lambda_- = lambda_+ = lambda_* = tau). Extended
+precision shrinks the error bound of every open gap:""")
 
 spec_ld = periodic_spectrum(q, 8, dtype=np.longdouble)
 for n in range(1, 9):

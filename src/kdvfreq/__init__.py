@@ -1,6 +1,6 @@
 """kdvfreq: spectral-theoretic frequencies of the KdV and KdV2 equations.
 
-Periodic Hill spectra by batched shooting, gap-contour quadrature for
+Periodic Hill spectra from the Fourier Hill matrix, gap-contour quadrature for
 actions and moments, the renormalized frequency sums, Birkhoff normal-form
 predictions, sequence-space utilities, a frequency flow with divergence
 experiments, and an independent pseudo-spectral integrator for

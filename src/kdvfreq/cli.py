@@ -89,7 +89,6 @@ _SHARED = {
     "N": dict(type=int, default=8),
     "M": dict(type=int, default=None),
     "K": dict(type=int, default=None),
-    "tol": dict(type=float, default=1e-10),
     "nodes": dict(type=int, default=96),
     "format": dict(choices=("json", "csv"), default="json"),
     "longdouble": dict(action="store_true", help="extended-precision spectral solves"),
@@ -103,7 +102,7 @@ def _dtype(args):
 
 def _cmd_spectrum(args):
     q = _load_potential(args.potential)
-    spec = periodic_spectrum(q, args.N, tol=args.tol, dtype=_dtype(args))
+    spec = periodic_spectrum(q, args.N, dtype=_dtype(args))
     if args.format == "json":
         _write(args.out, spec.to_json())
     else:
@@ -118,7 +117,7 @@ def _cmd_spectrum(args):
 
 def _cmd_actions(args):
     q = _load_potential(args.potential)
-    spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args), tol=args.tol)
+    spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args))
     acts = invariants.action_vector(q.drop_mean(), spec, N=args.N, nodes=args.nodes)
     rows = [(n, acts.I[n], acts.ratio[n], acts.err[n])
             for n in range(1, args.N + 1)]
@@ -134,11 +133,12 @@ def _cmd_actions(args):
 
 def _cmd_freq(args):
     q = _load_potential(args.potential)
+    if args.jobs < 1:
+        raise ValidationError("--jobs must be at least 1")
     ns = _parse_range(args.n) if args.n else list(range(1, args.N + 1))
     N = max(ns)
     rep = invariants.frequency_report(q, N, M=args.M, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args), tol=args.tol,
-                                      jobs=args.jobs)
+                                      dtype=_dtype(args), jobs=args.jobs)
     rows = [(n, rep.actions.I[n], rep.omega1[n], rep.omega1_star[n],
              rep.omega2[n], rep.omega2_star[n],
              max(rep.tail1[n], rep.tail2[n])) for n in ns]
@@ -160,7 +160,7 @@ def _cmd_freq(args):
 def _cmd_hamiltonians(args):
     u = _load_potential(args.potential)
     rep = invariants.frequency_report(u, args.N, M=args.M, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args), tol=args.tol)
+                                      dtype=_dtype(args))
     h = invariants.hamiltonians(u.drop_mean(), rep.spectrum, rep.actions, rep.moments)
     obj = {"H0": h.H0, "H1": h.H1, "H2": h.H2,
            "H1_star": h.H1_star, "H1_star_subtraction": h.H1_star_subtraction,
@@ -261,7 +261,7 @@ def _cmd_crosscheck(args):
     q = _load_potential(args.potential)
     n = int(args.n)
     rep = invariants.frequency_report(q, max(n, 2), K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args), tol=args.tol)
+                                      dtype=_dtype(args))
     om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
     T = args.T if args.T else (0.05 if args.eq == "kdv" else 0.002)
     traj = pde.evolve(q, T, args.eq)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    spectral = ("potential", "N", "tol", "longdouble")
+    spectral = ("potential", "N", "longdouble")
     command("spectrum", _cmd_spectrum, "periodic/Dirichlet/critical spectra",
             *spectral, "format")
     command("actions", _cmd_actions, "action variables", *spectral, "nodes", "format")
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=None)
 
     p = command("crosscheck", _cmd_crosscheck, "moment-route vs PDE-route frequency",
-                "potential", "tol", "longdouble", "K", "nodes")
+                "potential", "longdouble", "K", "nodes")
     p.add_argument("--eq", choices=("kdv", "kdv2"), default="kdv")
     p.add_argument("--n", required=True)
     p.add_argument("--T", type=float, default=None)

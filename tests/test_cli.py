@@ -175,7 +175,8 @@ BAD_POTENTIALS = {
     ["actions", "--N", "2", "--nodes", "0"],
     ["freq", "--n", "1..2", "--nodes", "0"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--Mgrid", "0"],
-    ["spectrum", "--N", "2", "--tol", "-1"],
+    ["freq", "--n", "1..2", "--jobs", "0"],
+    ["freq", "--n", "1..2", "--jobs", "-3"],
     ["spectrum", "--N", "2", "--potential", "@list-modes"],
     ["spectrum", "--N", "2", "--potential", "@null-mean"],
 ])
@@ -200,6 +201,7 @@ def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     ["bnf", "--jobs", "7"],
     ["seqtest", "--potential", "q.json"],
     ["actions", "--n", "3"],          # a prefix of --nodes
+    ["spectrum", "--tol", "1e-10"],
 ])
 def test_ignored_flag_exit_2(capsys, pot_file, argv):
     if argv[0] in READS_POTENTIAL:

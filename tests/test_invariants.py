@@ -166,6 +166,21 @@ def test_hamiltonian_direct_values():
     assert h.H1 == pytest.approx((2 * math.pi) ** 2 * 0.01, rel=1e-12)
 
 
+def test_hamiltonian_routes_agree_on_a_gap_below_the_shooting_floor():
+    # modes 1-3 at amplitude <= 0.1: gap 4 (gamma ~ 1.2e-4) lies below the
+    # float64 shooting floor, where it was reported collapsed and the H1*
+    # routes differed by 4.5e-6 (flagged); the matrix spectrum resolves it
+    u = make_potential([(1, 0.07243588709191993 + 0.04065171227962779j),
+                        (2, 0.06950042792189133 - 0.03401630657417024j),
+                        (3, -0.0015978232395252579 + 0.0697299482861864j)])
+    rep = inv.frequency_report(u, 8)
+    h = inv.hamiltonians(u, rep.spectrum, rep.actions, rep.moments)
+    assert rep.spectrum.open_gap[4]
+    assert not h.flagged
+    assert h.route_gap_H1 <= 1e-11 * h.H1
+    assert h.route_gap_H2 <= 1e-11 * h.H2
+
+
 def test_H0_action_identity():
     q = cosine_sum([(1, 0.2), (2, 0.2)])
     spec = inv.spectrum_for(q, 8, dtype=np.longdouble)

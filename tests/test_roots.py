@@ -233,6 +233,16 @@ def test_psi_sigma_vs_dense_oracle(spec_two):
     assert abs(float(psi.sigma[2] - spec_two.lambda_dot[2])) <= 0.3 * float(spec_two.gamma[2])
 
 
+def test_psi_residuals_reach_the_rounding_floor_longdouble(q_two):
+    # one Newton step past tol: the residuals end far below it
+    if np.finfo(np.longdouble).eps > 1e-17:
+        pytest.skip("needs 80-bit longdouble")
+    spec = periodic_spectrum(q_two, 8, dtype=np.longdouble)
+    for n in range(1, 9):
+        psi = psi_solve(spec, n, tol=1e-10)
+        assert max(psi.residuals.values(), default=0.0) <= 1e-15, f"psi_{n}"
+
+
 def test_psi_json(spec_two):
     import json
     psi = psi_solve(spec_two, 2)
