@@ -12,7 +12,7 @@ from kdvfreq import invariants as inv
 
 q = cosine_sum([(1, 0.3), (2, 0.3)])
 spec = inv.spectrum_for(q, 10)
-acts = inv.action_vector(q, spec)
+acts = inv.action_vector(spec)
 
 print("actions and the gap law (8 n pi I_n / gamma_n^2 -> 1):")
 print(f"{'n':>2} {'gamma':>12} {'I_n':>14} {'ratio':>12} {'quad err':>10}")

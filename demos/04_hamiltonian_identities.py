@@ -14,11 +14,9 @@ from kdvfreq import cosine_sum
 from kdvfreq import invariants as inv
 
 q = cosine_sum([(1, 0.2), (2, 0.2)])
-spec = inv.spectrum_for(q, 8, dtype=np.longdouble)
-psis = {n: inv.psi_for(spec, n) for n in range(1, 9)}
-mom = inv.moments(q, spec, psis, 8, r_orders=(1, 3, 5))
-acts = inv.action_vector(q, spec)
-h = inv.hamiltonians(q, spec, acts, mom)
+rep = inv.frequency_report(q, 8, dtype=np.longdouble)
+spec, acts, mom = rep.spectrum, rep.actions, rep.moments
+h = inv.hamiltonians(rep)
 
 print(f"direct integrals:  H0 = {h.H0:.10f}  H1 = {h.H1:.10f}  H2 = {h.H2:.10f}")
 H0_sum = sum(2 * n * math.pi * acts.I[n] for n in range(1, 9))

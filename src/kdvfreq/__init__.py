@@ -13,7 +13,7 @@ from .hill import DiscriminantValue, HillSpectrum, discriminant, periodic_spectr
 from .roots import (GapContour, PsiFunction, standard_root, canonical_root,
                     floquet_F_on_gap, psi_solve, gap_contour)
 from .invariants import (ActionVector, MomentTable, FrequencyReport,
-                         HamiltonianValues, action, action_vector, moments,
+                         HamiltonianValues, action_vector, moments,
                          freq_kdv, freq_kdv2, hamiltonians, frequency_report,
                          frequency_jacobian)
 from .bnf import (bnf_predict, det_CA, singular_set, resonance_scan,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -87,7 +86,6 @@ def _parse_range(text: str) -> list[int]:
 _SHARED = {
     "potential": dict(required=True, help="potential JSON file"),
     "N": dict(type=int, default=8),
-    "M": dict(type=int, default=None),
     "K": dict(type=int, default=None),
     "nodes": dict(type=int, default=96),
     "format": dict(choices=("json", "csv"), default="json"),
@@ -118,7 +116,7 @@ def _cmd_spectrum(args):
 def _cmd_actions(args):
     q = _load_potential(args.potential)
     spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args))
-    acts = invariants.action_vector(q.drop_mean(), spec, N=args.N, nodes=args.nodes)
+    acts = invariants.action_vector(spec, N=args.N, nodes=args.nodes)
     rows = [(n, acts.I[n], acts.ratio[n], acts.err[n])
             for n in range(1, args.N + 1)]
     if args.format == "json":
@@ -133,12 +131,12 @@ def _cmd_actions(args):
 
 def _cmd_freq(args):
     q = _load_potential(args.potential)
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
     ns = _parse_range(args.n) if args.n else list(range(1, args.N + 1))
+    if min(ns) < 1:
+        raise ValidationError(f"gap indices start at 1, got {min(ns)}")
     N = max(ns)
-    rep = invariants.frequency_report(q, N, M=args.M, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args), jobs=args.jobs)
+    rep = invariants.frequency_report(q, N, K=args.K, nodes=args.nodes,
+                                      dtype=_dtype(args))
     rows = [(n, rep.actions.I[n], rep.omega1[n], rep.omega1_star[n],
              rep.omega2[n], rep.omega2_star[n],
              max(rep.tail1[n], rep.tail2[n])) for n in ns]
@@ -159,9 +157,9 @@ def _cmd_freq(args):
 
 def _cmd_hamiltonians(args):
     u = _load_potential(args.potential)
-    rep = invariants.frequency_report(u, args.N, M=args.M, K=args.K, nodes=args.nodes,
+    rep = invariants.frequency_report(u, args.N, K=args.K, nodes=args.nodes,
                                       dtype=_dtype(args))
-    h = invariants.hamiltonians(u.drop_mean(), rep.spectrum, rep.actions, rep.moments)
+    h = invariants.hamiltonians(rep)
     obj = {"H0": h.H0, "H1": h.H1, "H2": h.H2,
            "H1_star": h.H1_star, "H1_star_subtraction": h.H1_star_subtraction,
            "H2_star": h.H2_star, "H2_star_subtraction": h.H2_star_subtraction,
@@ -260,6 +258,8 @@ def _cmd_evolve(args):
 def _cmd_crosscheck(args):
     q = _load_potential(args.potential)
     n = int(args.n)
+    if n < 1:
+        raise ValidationError(f"gap indices start at 1, got {n}")
     rep = invariants.frequency_report(q, max(n, 2), K=args.K, nodes=args.nodes,
                                       dtype=_dtype(args))
     om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
@@ -294,13 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("actions", _cmd_actions, "action variables", *spectral, "nodes", "format")
 
     p = command("freq", _cmd_freq, "frequency tables (moment route)",
-                *spectral, "M", "K", "nodes", "format")
+                *spectral, "K", "nodes", "format")
     p.add_argument("--n", default=None, help="index range like 1..8")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--dump-moments", action="store_true")
 
     command("hamiltonians", _cmd_hamiltonians, "direct and renormalized Hamiltonians",
-            *spectral, "M", "K", "nodes")
+            *spectral, "K", "nodes")
 
     p = command("bnf", _cmd_bnf, "normal-form prediction", "N", "c")
     p.add_argument("--I", default="", help="comma list I_1,I_2,...")

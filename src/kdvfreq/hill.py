@@ -115,7 +115,8 @@ class HillSpectrum:
     open; collapsed gaps carry gamma == 0 and lam^+- == lam^* == tau
     exactly. ``gamma_floor`` is the widest gamma each gap may hide when
     reported collapsed, and ``gamma_rel_err`` bounds the relative error of
-    each open gamma. ``mu`` is solved by shooting on first access.
+    each open gamma. ``potential`` is the potential the spectrum belongs to.
+    ``mu`` is solved by shooting on first access.
     """
 
     lambda_plus: np.ndarray
@@ -128,16 +129,11 @@ class HillSpectrum:
     gamma_rel_err: np.ndarray
     N: int
     ode_tol: float
-    mean: float
     potential: Potential = field(repr=False)
 
     @property
     def lam0(self):
         return self.lambda_plus[0]
-
-    @property
-    def potential_key(self) -> tuple:
-        return self.potential.key()
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -275,23 +271,21 @@ def _critical_points(tau, gamma, lam0, eps, max_iter=50):
 # ---------------------------------------------------------------------------
 # the spectrum
 
-def periodic_spectrum(q: Potential, N: int, ode_tol: float | None = None,
-                      dtype=np.float64) -> HillSpectrum:
+def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     """Periodic and critical spectra through index N from the Fourier Hill
     matrix (see the module docstring); the Dirichlet spectrum ``mu`` is
     shot on first access.
 
     Pass dtype=numpy.longdouble to carry the Ritz projection, lam^* and
-    every downstream quadrature in extended precision. ``ode_tol`` is the
-    shooting tolerance used for mu and the shooting cross-checks (default
-    1e-13, or 1e-16 in long double).
+    every downstream quadrature in extended precision. The spectrum's
+    ``ode_tol``, the shooting tolerance of mu and the shooting cross-checks,
+    is 1e-13, or 1e-16 in long double.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     dtype = np.dtype(dtype).type
     eps = float(np.finfo(dtype).eps)
-    if ode_tol is None:
-        ode_tol = 1e-16 if eps < 1e-17 else 1e-13
+    ode_tol = 1e-16 if eps < 1e-17 else 1e-13
     K = N + 8 * q.degree + 16
     qnorm = q.sup_norm_bound - abs(q.mean)
 
@@ -334,8 +328,7 @@ def periodic_spectrum(q: Potential, N: int, ode_tol: float | None = None,
     return HillSpectrum(
         lambda_plus=lam_plus, lambda_minus=lam_minus, lambda_dot=lam_star,
         gamma=gamma, tau=tau, open_gap=open_mask, gamma_floor=floor,
-        gamma_rel_err=rel_err, N=N, ode_tol=ode_tol, mean=float(q.mean),
-        potential=q,
+        gamma_rel_err=rel_err, N=N, ode_tol=ode_tol, potential=q,
     )
 
 

@@ -13,25 +13,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import roots
-from ._util import parallel_map
 from .errors import NumericalError, ValidationError
 from .hill import HillSpectrum, periodic_spectrum
 from .potentials import Potential, evaluate, evaluate_derivative
 from .roots import PsiFunction, cheb_nodes, gap_contour, psi_solve
 
 __all__ = ["ActionVector", "MomentTable", "FrequencyReport", "HamiltonianValues",
-           "JacobianResult", "action", "action_vector", "moments", "freq_kdv",
+           "JacobianResult", "action_vector", "moments", "freq_kdv",
            "freq_kdv2", "hamiltonians", "frequency_report", "frequency_jacobian",
            "spectrum_for", "psi_for"]
 
 
-def spectrum_for(q: Potential, N: int, dtype=np.float64,
-                 ode_tol: float | None = None) -> HillSpectrum:
+def spectrum_for(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     """periodic_spectrum through at least max(N, 12), extended until the open
     gaps end three indices below the truncation."""
     n_spec = max(N, 12)
     for _ in range(3):
-        spec = periodic_spectrum(q, n_spec, ode_tol=ode_tol, dtype=dtype)
+        spec = periodic_spectrum(q, n_spec, dtype=dtype)
         opens = spec.open_indices()
         if not opens or max(opens) <= n_spec - 3:
             return spec
@@ -39,14 +37,14 @@ def spectrum_for(q: Potential, N: int, dtype=np.float64,
     raise NumericalError("open gaps do not terminate below the truncation")
 
 
-def psi_for(spec: HillSpectrum, n: int, M: int | None = None, tol: float = 1e-8,
+def psi_for(spec: HillSpectrum, n: int, tol: float = 1e-8,
             nodes: int = 96) -> PsiFunction:
-    return psi_solve(spec, n, M=M, tol=tol, nodes=nodes)
+    return psi_solve(spec, n, tol=tol, nodes=nodes)
 
 
-def _F_table(q: Potential, spec: HillSpectrum, nodes: int) -> dict[int, np.ndarray]:
+def _F_table(spec: HillSpectrum, nodes: int) -> dict[int, np.ndarray]:
     """F on the minus side of every open gap, integrated from the spectral
-    data (``roots.gap_F_integrated``); q is the potential spec belongs to."""
+    data (``roots.gap_F_integrated``)."""
     return roots.gap_F_integrated(spec, nodes)
 
 
@@ -86,22 +84,11 @@ def _action_ratio(spec: HillSpectrum, n: int, nodes: int) -> float:
     return float(2.0 * np.sum((t - t_n) ** 2 * chi) / nodes)
 
 
-def action(q: Potential, spec: HillSpectrum, n: int, nodes: int = 96):
-    """Action I_n of gap n with a node-doubling error estimate.
-
-    Returns (I_n, err). Collapsed gaps give exactly (0.0, 0.0).
-    """
-    if not spec.open_gap[n]:
-        return 0.0, 0.0
-    g = float(spec.gamma[n])
-    scale = g * g / (8.0 * n * math.pi)
-    q1 = _action_ratio(spec, n, nodes)
-    q2 = _action_ratio(spec, n, 2 * nodes)
-    return scale * q2, abs(scale * (q2 - q1))
-
-
-def action_vector(q: Potential, spec: HillSpectrum, N: int | None = None,
+def action_vector(spec: HillSpectrum, N: int | None = None,
                   nodes: int = 96) -> ActionVector:
+    """Actions I_n of gaps 1..N (default spec.N), each from 2 x nodes
+    Chebyshev nodes with the change from nodes as its error estimate;
+    collapsed gaps give exactly I_n = err = 0."""
     if nodes < 1:
         raise ValidationError("nodes must be at least 1")
     N = spec.N if N is None else N
@@ -137,27 +124,23 @@ class MomentTable:
     nodes: int
 
 
-def moments(q: Potential, spec: HillSpectrum, psis: dict[int, PsiFunction],
-            N: int, K: int | None = None, nodes: int = 96,
-            m_set=(2, 4), r_orders=(1, 3, 5)) -> MomentTable:
-    """Omega_nk^(m) for even m in m_set, n <= N, k <= K, and R_n^(m) for m in
-    r_orders.
+def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
+            N: int, K: int | None = None, nodes: int = 96) -> MomentTable:
+    """Omega_nk^(m) for m = 2, 4, n <= N, k <= K, and R_k^(m) for m = 1, 3, 5.
 
     Odd Omega moments and even R moments vanish identically (short circuit),
     as does every moment of a collapsed gap k.
     """
     K = spec.N if K is None else K
-    if K > spec.N:
-        raise ValidationError("K cannot exceed the spectrum truncation")
-    if any(m not in (0, 2, 4) for m in m_set):
-        raise ValidationError("supported moment orders are 0, 2, 4 (odd ones vanish)")
+    if not 1 <= K <= spec.N:
+        raise ValidationError(f"K must lie in 1..{spec.N} (the spectrum truncation)")
     for n in range(1, N + 1):
         if n not in psis:
             raise ValidationError(f"psi_{n} missing from the supplied family")
-    Fv = _F_table(q, spec, nodes)
+    Fv = _F_table(spec, nodes)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
-    R: dict = {}
+    R = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
     opens = [k for k in spec.open_indices() if k <= K]
     t = cheb_nodes(nodes)
     root_w = np.sqrt(1.0 - t * t)
@@ -167,21 +150,12 @@ def moments(q: Potential, spec: HillSpectrum, psis: dict[int, PsiFunction],
         F2 = np.asarray(Fv[k], dtype=float) ** 2
         for n in range(1, N + 1):
             g = np.asarray(roots.psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
-            if 2 in m_set:
-                om2[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * g))
-            if 4 in m_set:
-                om4[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * F2 * g))
+            om2[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * g))
+            om4[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * F2 * g))
         gk = float(spec.gamma[k])
         Fk = np.asarray(Fv[k], dtype=float)
-        for m in r_orders:
-            if m % 2 == 0:
-                R[(k, m)] = 0.0
-            else:
-                R[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
-    for k in range(1, K + 1):
-        if k not in opens:
-            for m in r_orders:
-                R[(k, m)] = 0.0
+        for m in (1, 3, 5):
+            R[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
     return MomentTable(omega2=om2, omega4=om4, R=R, N=N, K=K, nodes=nodes)
 
 
@@ -195,7 +169,7 @@ def omega0_table(spec: HillSpectrum, psis: dict[int, PsiFunction],
     return out
 
 
-def moment_without_shortcircuit(q: Potential, spec: HillSpectrum, psi: PsiFunction,
+def moment_without_shortcircuit(spec: HillSpectrum, psi: PsiFunction,
                                 k: int, m: int, nodes: int = 96) -> float:
     """Omega_nk^(m) with both gap sides quadratured separately and combined.
 
@@ -208,18 +182,18 @@ def moment_without_shortcircuit(q: Potential, spec: HillSpectrum, psi: PsiFuncti
     ct = gap_contour(spec, k, t)
     lam = ct.lam.astype(spec.tau.dtype)
     g = np.asarray(roots.psi_quotient_on_gap(spec, psi, k, lam), dtype=float)
-    Fm = np.asarray(_F_table(q, spec, nodes)[k], dtype=float)
+    Fm = np.asarray(_F_table(spec, nodes)[k], dtype=float)
     side_minus = (math.pi / nodes) * np.sum(Fm ** m * g)
     side_plus = (math.pi / nodes) * np.sum((-Fm) ** m * g)
     return float(side_minus + side_plus)
 
 
-def r_moment_without_shortcircuit(q: Potential, spec: HillSpectrum, k: int,
+def r_moment_without_shortcircuit(spec: HillSpectrum, k: int,
                                   m: int, nodes: int = 96) -> float:
     """R_k^(m) from both gap sides separately (cancels to noise for even m)."""
     if not spec.open_gap[k]:
         return 0.0
-    Fm = np.asarray(_F_table(q, spec, nodes)[k], dtype=float)
+    Fm = np.asarray(_F_table(spec, nodes)[k], dtype=float)
     t = cheb_nodes(nodes)
     w = np.sqrt(1.0 - t * t)
     gk = float(spec.gamma[k])
@@ -247,9 +221,9 @@ class FrequencyReport:
     tail1: np.ndarray
     tail2: np.ndarray
     warn: np.ndarray
-    actions: ActionVector = field(repr=False, default=None)
-    spectrum: HillSpectrum = field(repr=False, default=None)
-    moments: MomentTable = field(repr=False, default=None)
+    actions: ActionVector = field(repr=False)
+    spectrum: HillSpectrum = field(repr=False)
+    moments: MomentTable = field(repr=False)
 
 
 def _collapsed_tail_bound(spec: HillSpectrum, n: int, weight) -> float:
@@ -284,10 +258,8 @@ def freq_kdv2(spec: HillSpectrum, mom: MomentTable, n: int):
     return star, tail
 
 
-def frequency_report(u: Potential, N: int, M: int | None = None,
-                     K: int | None = None, nodes: int = 96,
-                     dtype=np.float64, psi_tol: float = 1e-8,
-                     jobs: int = 1) -> FrequencyReport:
+def frequency_report(u: Potential, N: int, K: int | None = None, nodes: int = 96,
+                     dtype=np.float64, psi_tol: float = 1e-8) -> FrequencyReport:
     """Full pipeline: mean split, spectrum, psi family, moments, frequencies.
 
     The star quantities are computed on the zero-mean part q = u - c and the
@@ -299,11 +271,9 @@ def frequency_report(u: Potential, N: int, M: int | None = None,
     c = u.mean
     q = u.drop_mean()
     spec = spectrum_for(q, N, dtype=dtype)
-    solved = parallel_map(lambda n: psi_for(spec, n, M=M, tol=psi_tol, nodes=nodes),
-                          range(1, N + 1), jobs)
-    psis = {p.n: p for p in solved}
-    mom = moments(q, spec, psis, N, K=K, nodes=nodes)
-    acts = action_vector(q, spec, N=spec.N, nodes=nodes)
+    psis = {n: psi_for(spec, n, tol=psi_tol, nodes=nodes) for n in range(1, N + 1)}
+    mom = moments(spec, psis, N, K=K, nodes=nodes)
+    acts = action_vector(spec, N=spec.N, nodes=nodes)
     grid = np.arange(4096) / 4096.0
     uq = evaluate(q, grid)
     H0 = 0.5 * float(np.mean(uq ** 2))
@@ -321,12 +291,11 @@ def frequency_report(u: Potential, N: int, M: int | None = None,
         + o2s + 10.0 * c * o1s
     omega1[0] = omega2[0] = 0.0
     warn = (t1 > 0.1 * np.abs(o1s)) & (np.abs(o1s) > 0)
-    rep = FrequencyReport(N=N, K=mom.K, mean=c, H0=H0,
-                          omega1=omega1, omega1_star=o1s,
-                          omega2=omega2, omega2_star=o2s,
-                          tail1=t1, tail2=t2, warn=warn, actions=acts,
-                          spectrum=spec, moments=mom)
-    return rep
+    return FrequencyReport(N=N, K=mom.K, mean=c, H0=H0,
+                           omega1=omega1, omega1_star=o1s,
+                           omega2=omega2, omega2_star=o2s,
+                           tail1=t1, tail2=t2, warn=warn, actions=acts,
+                           spectrum=spec, moments=mom)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +317,12 @@ class HamiltonianValues:
     flagged: bool
 
 
-def hamiltonians(q: Potential, spec: HillSpectrum, acts: ActionVector,
-                 mom: MomentTable) -> HamiltonianValues:
-    """H0, H1, H2 by 4096-point trapezoid (spectrally exact here) plus the
-    renormalized H1*, H2* by both the moment and the subtraction route."""
-    if abs(q.mean) > 1e-13:
-        raise ValidationError("star identities require a zero-mean potential")
+def hamiltonians(rep: FrequencyReport) -> HamiltonianValues:
+    """H0, H1, H2 of the zero-mean part of the report's potential by
+    4096-point trapezoid (spectrally exact here) plus the renormalized H1*,
+    H2* by both the moment and the subtraction route."""
+    spec, acts, mom = rep.spectrum, rep.actions, rep.moments
+    q = spec.potential
     grid = np.arange(4096) / 4096.0
     u = evaluate(q, grid)
     ux = evaluate_derivative(q, grid, 1)
@@ -399,8 +368,7 @@ class JacobianResult:
 
 
 def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
-                       base_eps: float = 0.05, N: int | None = None,
-                       dtype=np.float64, nodes: int = 96) -> JacobianResult:
+                       base_eps: float = 0.05, N: int | None = None) -> JacobianResult:
     """Finite-difference Jacobian d omega*/d I over the index set A.
 
     The default family drives each gap in A by an independent cosine mode of
@@ -418,7 +386,7 @@ def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
     N = N if N is not None else max(A) + 2
 
     def measure(eps):
-        rep = frequency_report(family(eps), N, nodes=nodes, dtype=dtype)
+        rep = frequency_report(family(eps), N)
         idx = list(A)
         I = rep.actions.I[idx]
         om = rep.omega1_star[idx] if which == "kdv" else rep.omega2_star[idx]

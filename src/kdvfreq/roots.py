@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,20 +117,17 @@ def sin_sqrt_quotient(lam, exclude: int = 0, terms: int = 0):
     return np.exp(logs + tail)
 
 
-def canonical_root(spec: HillSpectrum, lam, M: int | None = None):
+def canonical_root(spec: HillSpectrum, lam):
     """Canonical root of Delta^2 - 4, analytic off the gaps, normalized by
     i * root > 0 on the band (lam_0^+, lam_1^-).
 
     Gaps above the spectrum truncation are treated as collapsed at m^2 pi^2
     through the sin-product tail (for a trigonometric-polynomial potential
-    those gaps are below the resolution floor anyway, so raising M beyond
-    spec.N does not change the value). On the cut (-infty, lam_0^+] the
-    principal branch returns the upper-side limit.
+    those gaps are below the resolution floor anyway). On the cut
+    (-infty, lam_0^+] the principal branch returns the upper-side limit.
     """
     lam_arr = np.atleast_1d(np.asarray(lam)).astype(complex)
     scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    if M is not None and M < spec.N:
-        raise ValidationError("M must be at least the spectrum truncation")
     open_ns = spec.open_indices()
     for n in open_ns:
         inside = (lam_arr.imag == 0) & \
@@ -253,24 +250,23 @@ def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarra
 class PsiFunction:
     """Entire interpolation function psi_n = prefactor * prod (sigma_m - lam)/(m^2 pi^2).
 
-    sigma[m] holds the root in gap m (tau_m for collapsed gaps, the critical
-    point for m = n); ``rho`` is the relative deviation of the solved
-    prefactor from 2/(n pi).
+    sigma[m], m = 1..spec.N, holds the root in gap m (tau_m for collapsed
+    gaps, the critical point for m = n); the roots past spec.N are the free
+    values m^2 pi^2 and are not stored. ``rho`` is the relative deviation of
+    the solved prefactor from 2/(n pi).
     """
 
     n: int
-    M: int
     sigma: np.ndarray
     prefactor: float
     rho: float
     residuals: dict[int, float]
     iterations: int
     nodes: int = 96
-    _spec_key: tuple = field(default=(), repr=False)
 
     def to_json(self) -> str:
         return json.dumps({
-            "n": self.n, "M": self.M,
+            "n": self.n,
             "sigma": [float(s) for s in self.sigma[1:]],
             "prefactor": self.prefactor, "rho": self.rho,
             "residuals": {str(k): v for k, v in sorted(self.residuals.items())},
@@ -327,8 +323,8 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
     return float(np.sum(g) / nodes)
 
 
-def psi_solve(spec: HillSpectrum, n: int, M: int | None = None,
-              tol: float = 1e-8, nodes: int = 96, max_iter: int = 50) -> PsiFunction:
+def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
+              max_iter: int = 50) -> PsiFunction:
     """Solve the gap conditions for psi_n by Newton iteration on the roots.
 
     Unknowns are the sigma_k in open gaps k != n (initial guess tau_k) plus
@@ -340,14 +336,8 @@ def psi_solve(spec: HillSpectrum, n: int, M: int | None = None,
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
     if nodes < 1:
         raise ValidationError("nodes must be at least 1")
-    M = max(2 * spec.N, 32) if M is None else M
-    if M < spec.N:
-        raise ValidationError("truncation M must cover the spectrum")
     dtype = spec.tau.dtype
-    sigma = np.empty(M + 1, dtype=dtype)
-    sigma[0] = np.nan
-    for m in range(1, M + 1):
-        sigma[m] = spec.tau[m] if m <= spec.N else dtype.type(m * m) * math.pi ** 2
+    sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]
 
     opens = spec.open_indices()
@@ -392,9 +382,8 @@ def psi_solve(spec: HillSpectrum, n: int, M: int | None = None,
                 f"max residual {np.max(np.abs(r)):.3e}")
         res = {k: float(abs(r[a])) for a, k in enumerate(unknowns)}
 
-    psi = PsiFunction(n=n, M=M, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                      rho=0.0, residuals=res, iterations=iterations, nodes=nodes,
-                      _spec_key=(spec.potential_key, spec.N))
+    psi = PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
+                      rho=0.0, residuals=res, iterations=iterations, nodes=nodes)
     c_n = condition_integral(spec, psi, n, nodes)
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")

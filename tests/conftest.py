@@ -59,7 +59,7 @@ def psis_three(spec_three):
 @pytest.fixture(scope="session")
 def pipe_two_03(q_two_mode_03):
     spec = inv.spectrum_for(q_two_mode_03, 12)
-    acts = inv.action_vector(q_two_mode_03, spec)
+    acts = inv.action_vector(spec)
     return spec, acts
 
 
@@ -68,11 +68,7 @@ def pipe_two_02_ld(q_two_mode_02):
     """Extended-precision pipeline for the identities weighted by (2npi)^5."""
     if np.finfo(np.longdouble).eps > 1e-17:
         pytest.skip("extended-precision identities need 80-bit longdouble")
-    spec = inv.spectrum_for(q_two_mode_02, 8, dtype=np.longdouble)
-    psis = {n: inv.psi_for(spec, n) for n in range(1, spec.N + 1)}
-    mom = inv.moments(q_two_mode_02, spec, psis, spec.N, r_orders=(1, 2, 3, 4, 5))
-    acts = inv.action_vector(q_two_mode_02, spec)
-    return spec, psis, mom, acts
+    return inv.frequency_report(q_two_mode_02, 8, dtype=np.longdouble)
 
 
 @pytest.fixture(scope="session")

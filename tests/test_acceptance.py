@@ -102,8 +102,9 @@ def test_criterion_06_one_smoothing():
 
 
 def test_criterion_07_H2_star_identity(pipe_two_02_ld):
-    spec, psis, mom, acts = pipe_two_02_ld
-    h = inv.hamiltonians(spec_potential(spec), spec, acts, mom)
+    rep = pipe_two_02_ld
+    spec, mom, acts = rep.spectrum, rep.moments, rep.actions
+    h = inv.hamiltonians(rep)
     rel = abs(h.H2_star - h.H2_star_subtraction) / abs(h.H2_star)
     sharp = [n for n in spec.open_indices() if spec.gamma_rel_err[n] <= 5e-7]
     worst_sharp = max(abs(mom.R[(n, 1)] - acts.I[n]) / acts.I[n] for n in sharp)
@@ -115,12 +116,6 @@ def test_criterion_07_H2_star_identity(pipe_two_02_ld):
     report(7, ok, f"H2* moment vs subtraction rel {rel:.2e} (<=1e-4); "
                   f"R=I rel {worst_sharp:.2e} (<=1e-6) on gaps {sharp}, "
                   f"noise-bounded on all open gaps")
-
-
-def spec_potential(spec):
-    from kdvfreq.potentials import Potential
-    modes, coeffs, mean = spec.potential_key
-    return Potential(modes, coeffs, mean)
 
 
 def test_criterion_08_asymptotic_flatness(report_four):

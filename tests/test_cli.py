@@ -71,16 +71,16 @@ def test_dump_moments_come_from_the_report_psi_family(capsys, tmp_path, monkeypa
     solved = []
     psi_solve = invariants.psi_solve
 
-    def spy(spec, n, M=None, **kwargs):
-        solved.append((n, M))
-        return psi_solve(spec, n, M=M, **kwargs)
+    def spy(spec, n, **kwargs):
+        solved.append(n)
+        return psi_solve(spec, n, **kwargs)
 
     monkeypatch.setattr(invariants, "psi_solve", spy)
     code, out = run(capsys, ["freq", "--potential", str(pot_file), "--n", "1..2",
-                             "--M", "40", "--dump-moments"])
+                             "--dump-moments"])
     assert code == 0
     assert "omega2_moments" in json.loads(out)
-    assert sorted(solved) == [(1, 40), (2, 40)]
+    assert sorted(solved) == [1, 2]
 
 
 def test_actions_command(capsys, pot_file):
@@ -175,10 +175,13 @@ BAD_POTENTIALS = {
     ["actions", "--N", "2", "--nodes", "0"],
     ["freq", "--n", "1..2", "--nodes", "0"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--Mgrid", "0"],
-    ["freq", "--n", "1..2", "--jobs", "0"],
-    ["freq", "--n", "1..2", "--jobs", "-3"],
     ["spectrum", "--N", "2", "--potential", "@list-modes"],
     ["spectrum", "--N", "2", "--potential", "@null-mean"],
+    ["freq", "--n", "2,-1"],
+    ["freq", "--n", "0..2"],
+    ["crosscheck", "--n", "-1"],
+    ["freq", "--n", "1..2", "--K", "0"],
+    ["hamiltonians", "--N", "2", "--K", "-1"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):
@@ -202,6 +205,10 @@ def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     ["seqtest", "--potential", "q.json"],
     ["actions", "--n", "3"],          # a prefix of --nodes
     ["spectrum", "--tol", "1e-10"],
+    ["freq", "--n", "1..2", "--jobs", "0"],
+    ["freq", "--n", "1..2", "--jobs", "-3"],
+    ["freq", "--n", "1..2", "--M", "40"],
+    ["hamiltonians", "--N", "2", "--M", "40"],
 ])
 def test_ignored_flag_exit_2(capsys, pot_file, argv):
     if argv[0] in READS_POTENTIAL:

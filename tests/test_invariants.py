@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kdvfreq import invariants as inv
-from kdvfreq.errors import ValidationError
-from kdvfreq.potentials import cosine_sum, make_potential, single_mode
+from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
+                                make_potential, single_mode)
 
 from oracles import rectangle_action
 
@@ -15,15 +15,15 @@ def pipe_single():
     q = single_mode(1, 0.05)
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
-    mom = inv.moments(q, spec, psis, 4)
-    acts = inv.action_vector(q, spec)
+    mom = inv.moments(spec, psis, 4)
+    acts = inv.action_vector(spec)
     return q, spec, psis, mom, acts
 
 
 def test_actions_free():
     q = make_potential([], 0.0)
     spec = inv.spectrum_for(q, 6)
-    acts = inv.action_vector(q, spec)
+    acts = inv.action_vector(spec)
     assert np.all(acts.I == 0.0)
 
 
@@ -37,7 +37,7 @@ def test_action_leading_order(pipe_single):
 def test_action_vs_rectangle_oracle():
     q = cosine_sum([(1, 0.2), (2, 0.2)])
     spec = inv.spectrum_for(q, 8)
-    acts = inv.action_vector(q, spec)
+    acts = inv.action_vector(spec)
     want, imag = rectangle_action(q, spec, 1)
     assert imag < 1e-8 * max(1.0, abs(want))
     assert acts.I[1] == pytest.approx(want, rel=1e-5)
@@ -46,7 +46,7 @@ def test_action_vs_rectangle_oracle():
 def test_action_nonnegative_and_zero_iff_collapsed():
     q = cosine_sum([(1, 0.2), (2, 0.2)])
     spec = inv.spectrum_for(q, 8)
-    acts = inv.action_vector(q, spec)
+    acts = inv.action_vector(spec)
     for n in range(1, 9):
         assert acts.I[n] >= -1e-12
         if not spec.open_gap[n]:
@@ -77,7 +77,7 @@ def test_moment_diagonal_scaling():
     q = single_mode(n, 0.02)
     spec = inv.spectrum_for(q, 4)
     psis = {m: inv.psi_for(spec, m) for m in range(1, 5)}
-    mom = inv.moments(q, spec, psis, 4)
+    mom = inv.moments(spec, psis, 4)
     g = float(spec.gamma[n])
     assert mom.omega2[n, n] == pytest.approx(g ** 2 / (16 * n * n * math.pi), rel=0.10)
     want4 = (3.0 / (16 * n * math.pi)) * g ** 4 / (64 * n ** 2 * math.pi ** 2)
@@ -94,10 +94,10 @@ def test_R1_equals_action(pipe_single):
 def test_odd_even_shortcircuit_spot_check(pipe_single):
     q, spec, psis, mom, _ = pipe_single
     k = spec.open_indices()[0]
-    val = inv.moment_without_shortcircuit(q, spec, psis[1], k, 3)
+    val = inv.moment_without_shortcircuit(spec, psis[1], k, 3)
     scale = abs(mom.omega2[1, k]) + 1e-12
     assert abs(val) <= 1e-9 * max(1.0, scale)
-    val_r = inv.r_moment_without_shortcircuit(q, spec, k, 2)
+    val_r = inv.r_moment_without_shortcircuit(spec, k, 2)
     assert abs(val_r) <= 1e-9
 
 
@@ -139,7 +139,7 @@ def test_sigma_vs_tau_sensitivity():
     q = single_mode(1, 0.05)
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
-    mom = inv.moments(q, spec, psis, 4)
+    mom = inv.moments(spec, psis, 4)
     o1, tail = inv.freq_kdv(spec, mom, 1)
     lazy = {}
     for n, p in psis.items():
@@ -149,18 +149,14 @@ def test_sigma_vs_tau_sensitivity():
             if k != n:
                 sig[k] = spec.tau[k]
         lazy[n] = dataclasses.replace(p, sigma=sig)
-    mom2 = inv.moments(q, spec, lazy, 4)
+    mom2 = inv.moments(spec, lazy, 4)
     o1b, _ = inv.freq_kdv(spec, mom2, 1)
     assert abs(o1 - o1b) <= tail + 1e-10
 
 
 def test_hamiltonian_direct_values():
     q = single_mode(1, 0.1)
-    spec = inv.spectrum_for(q, 4)
-    psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
-    mom = inv.moments(q, spec, psis, 4, r_orders=(1, 3, 5))
-    acts = inv.action_vector(q, spec)
-    h = inv.hamiltonians(q, spec, acts, mom)
+    h = inv.hamiltonians(inv.frequency_report(q, 4))
     # q = 0.2 cos(2 pi x): H0 = 0.01, H1 = (2 pi)^2 * 0.01 (cubic integrates to 0)
     assert h.H0 == pytest.approx(0.01, rel=1e-12)
     assert h.H1 == pytest.approx((2 * math.pi) ** 2 * 0.01, rel=1e-12)
@@ -174,7 +170,7 @@ def test_hamiltonian_routes_agree_on_a_gap_below_the_shooting_floor():
                         (2, 0.06950042792189133 - 0.03401630657417024j),
                         (3, -0.0015978232395252579 + 0.0697299482861864j)])
     rep = inv.frequency_report(u, 8)
-    h = inv.hamiltonians(u, rep.spectrum, rep.actions, rep.moments)
+    h = inv.hamiltonians(rep)
     assert rep.spectrum.open_gap[4]
     assert not h.flagged
     assert h.route_gap_H1 <= 1e-11 * h.H1
@@ -184,7 +180,7 @@ def test_hamiltonian_routes_agree_on_a_gap_below_the_shooting_floor():
 def test_H0_action_identity():
     q = cosine_sum([(1, 0.2), (2, 0.2)])
     spec = inv.spectrum_for(q, 8, dtype=np.longdouble)
-    acts = inv.action_vector(q, spec)
+    acts = inv.action_vector(spec)
     H0_sum = sum(2 * n * math.pi * acts.I[n] for n in range(1, acts.N + 1))
     grid = np.arange(4096) / 4096.0
     from kdvfreq.potentials import evaluate
@@ -192,21 +188,25 @@ def test_H0_action_identity():
     assert H0_sum == pytest.approx(H0, rel=1e-5)
 
 
-def test_hamiltonians_require_zero_mean():
-    q = cosine_sum([(1, 0.1)], mean=0.2)
-    spec = inv.spectrum_for(q.drop_mean(), 4)
-    acts = inv.action_vector(q.drop_mean(), spec)
-    psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
-    mom = inv.moments(q.drop_mean(), spec, psis, 4)
-    with pytest.raises(ValidationError):
-        inv.hamiltonians(q, spec, acts, mom)
+def test_hamiltonians_of_the_zero_mean_part():
+    # the report removes the mean, so H of u is the direct H of u - 0.2
+    u = cosine_sum([(1, 0.1)], mean=0.2)
+    h = inv.hamiltonians(inv.frequency_report(u, 4))
+    x = np.arange(4096) / 4096.0
+    q = evaluate(u, x) - 0.2
+    qx = evaluate_derivative(u, x, 1)
+    qxx = evaluate_derivative(u, x, 2)
+    assert h.H0 == pytest.approx(0.5 * np.mean(q ** 2), rel=1e-12)
+    assert h.H1 == pytest.approx(0.5 * np.mean(qx ** 2 + 2 * q ** 3), rel=1e-12)
+    assert h.H2 == pytest.approx(
+        0.5 * np.mean(qxx ** 2 + 10 * q * qx ** 2 + 5 * q ** 4), rel=1e-12)
 
 
 def test_freq_zero_potential_tail_zero():
     q = make_potential([], 0.0)
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
-    mom = inv.moments(q, spec, psis, 4)
+    mom = inv.moments(spec, psis, 4)
     o1, tail = inv.freq_kdv(spec, mom, 1)
     assert o1 == 0.0
     assert tail >= 0.0

@@ -70,7 +70,7 @@ def test_measured_kdv_shift_matches_action(kdv_run):
     om, _ = pde.measure_mode_frequency(traj, 2)
     from kdvfreq import invariants as inv
     spec = inv.spectrum_for(q, 4)
-    acts = inv.action_vector(q, spec)
+    acts = inv.action_vector(spec)
     shift = om - (4 * math.pi) ** 3
     assert shift == pytest.approx(-6 * acts.I[2], rel=0.01)
 

@@ -95,7 +95,7 @@ def test_canonical_root_sign_on_first_band(spec_two):
 
 def test_canonical_root_vs_discriminant(q_two, spec_two):
     lam = float(spec_two.tau[2]) + 5.0
-    v = complex(canonical_root(spec_two, lam, M=64))
+    v = complex(canonical_root(spec_two, lam))
     d = discriminant(q_two, lam, tol=1e-12)
     want = d.delta ** 2 - 4.0
     assert v ** 2 == pytest.approx(want, rel=1e-6)
@@ -247,7 +247,7 @@ def test_psi_json(spec_two):
     import json
     psi = psi_solve(spec_two, 2)
     obj = json.loads(psi.to_json())
-    assert obj["n"] == 2 and len(obj["sigma"]) == psi.M
+    assert obj["n"] == 2 and len(obj["sigma"]) == spec_two.N
 
 
 def test_psi_index_validation(spec_two):
