@@ -203,14 +203,13 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
     Z = [j for j in range(1, window + 1) if j not in A]
     c_zero = (c == 0)
 
-    kz_options: list[tuple] = [()]
-    for j in Z:
-        for v in (-2, -1, 1, 2):
-            kz_options.append(((j, v),))
-    for j1, j2 in combinations(Z, 2):
-        for v1 in (-1, 1):
-            for v2 in (-1, 1):
-                kz_options.append(((j1, v1), (j2, v2)))
+    kz_options = [()] + [((j, v),) for j in Z for v in (-2, -1, 1, 2)]
+    kz_options += [((j1, v1), (j2, v2)) for j1, j2 in combinations(Z, 2)
+                   for v1 in (-1, 1) for v2 in (-1, 1)]
+    # k.lambda = 0 needs S5 = 0: visit only the k_Z whose S5 cancels k_A's
+    by_s5: dict[int, list[tuple]] = {}
+    for kz in kz_options:
+        by_s5.setdefault(sum(v * j ** 5 for j, v in kz), []).append(kz)
 
     offenders = []
     rng = range(-kmax, kmax + 1)
@@ -218,14 +217,12 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
         s1a = sum(k * i for k, i in zip(kA, A))
         s3a = sum(k * i ** 3 for k, i in zip(kA, A))
         s5a = sum(k * i ** 5 for k, i in zip(kA, A))
-        for kz in kz_options:
+        for kz in by_s5.get(-s5a, ()):
             if all(v == 0 for v in kA) and not kz:
                 continue
             s1 = s1a + sum(v * j for j, v in kz)
             s3 = s3a + sum(v * j ** 3 for j, v in kz)
-            s5 = s5a + sum(v * j ** 5 for j, v in kz)
-            lam_zero = (s5 == 0) and (c_zero or (s3 == 0 and s1 == 0))
-            if not lam_zero:
+            if not (c_zero or (s3 == 0 and s1 == 0)):
                 continue
             ck_zero = all((c_zero or k == 0) and (s1 == i * k)
                           for k, i in zip(kA, A))

@@ -26,6 +26,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_float(v: float) -> str:
+    return "null" if v != v else format(v, ".17g")
+
+
 def _dump_json(obj) -> str:
     """Recursive serializer with fixed ordering and 17-digit floats."""
     if isinstance(obj, dict):
@@ -38,10 +42,7 @@ def _dump_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if v != v:
-            return "null"
-        return _fmt(v)
+        return _json_float(float(obj))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -68,6 +69,12 @@ def _load_potential(path: str):
             return potential_from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read potential file {path}: {exc}") from exc
+
+
+def _spectral_potential(args):
+    if args.N < 1:
+        raise ValidationError(f"--N must be at least 1, got {args.N}")
+    return _load_potential(args.potential)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -99,7 +106,7 @@ def _dtype(args):
 
 
 def _cmd_spectrum(args):
-    q = _load_potential(args.potential)
+    q = _spectral_potential(args)
     spec = periodic_spectrum(q, args.N, dtype=_dtype(args))
     if args.format == "json":
         _write(args.out, spec.to_json())
@@ -114,7 +121,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_actions(args):
-    q = _load_potential(args.potential)
+    q = _spectral_potential(args)
     spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args))
     acts = invariants.action_vector(spec, N=args.N, nodes=args.nodes)
     rows = [(n, acts.I[n], acts.ratio[n], acts.err[n])
@@ -130,7 +137,7 @@ def _cmd_actions(args):
 
 
 def _cmd_freq(args):
-    q = _load_potential(args.potential)
+    q = _spectral_potential(args)
     ns = _parse_range(args.n) if args.n else list(range(1, args.N + 1))
     if min(ns) < 1:
         raise ValidationError(f"gap indices start at 1, got {min(ns)}")
@@ -156,7 +163,7 @@ def _cmd_freq(args):
 
 
 def _cmd_hamiltonians(args):
-    u = _load_potential(args.potential)
+    u = _spectral_potential(args)
     rep = invariants.frequency_report(u, args.N, K=args.K, nodes=args.nodes,
                                       dtype=_dtype(args))
     h = invariants.hamiltonians(rep)
@@ -246,13 +253,19 @@ def _cmd_evolve(args):
     if args.stride is not None and args.stride < 1:
         raise ValidationError("--stride must be at least 1")
     traj = pde.evolve(q, args.T, args.eq, dt=args.dt, M=args.Mgrid, stride=args.stride)
-    lines = []
-    for i, t in enumerate(traj.times):
-        uh = traj.states[i]
-        lines.append(_dump_json({"t": float(t),
-                                 "modes": [[float(v.real), float(v.imag)] for v in uh]}))
-    _write(args.out, "\n".join(lines))
+    _write(args.out, _trajectory_lines(traj.times, traj.states))
     return 0 if not traj.aborted else 3
+
+
+def _trajectory_lines(times, states) -> str:
+    """One JSON object {"t", "modes": [[re, im], ...]} per sample, the same
+    bytes that _dump_json gives, without its per-value dispatch."""
+    lines = []
+    for t, row in zip(times.tolist(), np.ascontiguousarray(states).view(float).tolist()):
+        modes = ", ".join(f"[{_json_float(re)}, {_json_float(im)}]"
+                          for re, im in zip(row[::2], row[1::2]))
+        lines.append(f'{{"t": {_json_float(t)}, "modes": [{modes}]}}')
+    return "\n".join(lines)
 
 
 def _cmd_crosscheck(args):

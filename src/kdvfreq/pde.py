@@ -4,13 +4,15 @@ frequencies.
 
 The linear part (dispersion i(2 pi n)^3 or i(2 pi n)^5) is advanced by its
 exact phase factor; the nonlinear part by the fourth-order exponential
-Runge-Kutta rule with coefficients from a contour average. Products are
-formed on a zero-padded physical grid and masked by the 2/3 rule.
+Runge-Kutta rule with coefficients from a contour average. Only the modes
+|n| <= M//3 of an M-point state are advanced. Their products are formed by
+real FFTs on just enough points to be exactly dealiased: M points for the
+quadratic KdV term, 3M/2 for the cubic KdV2 term.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +39,6 @@ class GridState:
     u_hat: np.ndarray
     t: float
 
-    def mode(self, n: int) -> complex:
-        return complex(self.u_hat[n % self.M])
-
     def reality_defect(self) -> float:
         conj = np.conj(self.u_hat[np.mod(-np.arange(self.M), self.M)])
         scale = max(1.0, float(np.max(np.abs(self.u_hat))))
@@ -55,7 +54,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # (samples, M) complex coefficients
     aborted: bool = False
-    q0: Potential | None = field(default=None, repr=False)
 
     def state(self, i: int) -> GridState:
         return GridState(self.M, self.states[i].copy(), float(self.times[i]))
@@ -66,46 +64,6 @@ class Trajectory:
 
 def _wavenumbers(M: int) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-
-
-def _dealias_mask(M: int) -> np.ndarray:
-    n = np.fft.fftfreq(M, d=1.0 / M)
-    return (np.abs(n) <= M // 3).astype(float)
-
-
-def _to_phys(u_hat: np.ndarray, P: int) -> np.ndarray:
-    """Zero-padded physical samples on a grid of P >= M points."""
-    M = u_hat.size
-    up = np.zeros(P, dtype=complex)
-    up[:M // 2] = u_hat[:M // 2]
-    up[P - M // 2:] = u_hat[M // 2:]
-    return np.fft.ifft(up).real * P
-
-
-def _to_hat(u: np.ndarray, M: int) -> np.ndarray:
-    P = u.size
-    uh = np.fft.fft(u) / P
-    out = np.zeros(M, dtype=complex)
-    out[:M // 2] = uh[:M // 2]
-    out[M // 2:] = uh[P - M // 2:]
-    return out
-
-
-def _nonlinear(eq: str, u_hat: np.ndarray, k: np.ndarray, mask: np.ndarray):
-    M = u_hat.size
-    P = 2 * M
-    if eq == "airy":
-        return np.zeros(M, dtype=complex)
-    u = _to_phys(u_hat, P)
-    if eq == "kdv":
-        return mask * (3j * k * _to_hat(u * u, M))
-    if eq == "kdv2":
-        ux = _to_phys(1j * k * u_hat, P)
-        uxx = _to_phys(-(k * k) * u_hat, P)
-        # conservative form: d/dx(-10 u u_xx - 5 u_x^2 + 10 u^3)
-        flux = _to_hat(-10.0 * u * uxx - 5.0 * ux * ux + 10.0 * u ** 3, M)
-        return mask * (1j * k * flux)
-    raise ValidationError("eq must be 'airy', 'kdv' or 'kdv2'")
 
 
 def _linear_symbol(eq: str, k: np.ndarray) -> np.ndarray:
@@ -154,13 +112,42 @@ def state_to_potential(state: GridState, max_mode: int | None = None,
     return make_potential(pairs, float(state.u_hat[0].real))
 
 
+def _nonlinear_term(eq: str, k: np.ndarray, M: int):
+    """N(v) on the retained modes v = u_hat[0..R], R = M//3, from real FFTs
+    on P points: exact for a quadratic term when P >= 3R + 1 (P = M, KdV),
+    for a cubic one when P >= 4R + 1 (P = 3M/2, KdV2)."""
+    R1 = k.size
+    if eq == "airy":
+        zero = np.zeros(R1, dtype=complex)
+        return lambda v: zero
+    if eq == "kdv":
+        g = 3j * k
+        return lambda v: g * np.fft.rfft(np.fft.irfft(v, M, norm="forward") ** 2,
+                                         norm="forward")[:R1]
+    P = 3 * M // 2
+    ik = 1j * k
+    mkk = -(k * k)
+    w = np.empty((3, R1), dtype=complex)
+
+    def kdv2(v):
+        w[0] = v
+        np.multiply(ik, v, out=w[1])
+        np.multiply(mkk, v, out=w[2])
+        u, ux, uxx = np.fft.irfft(w, P, norm="forward")
+        # conservative form: d/dx(-10 u u_xx - 5 u_x^2 + 10 u^3)
+        flux = -10.0 * u * uxx - 5.0 * ux * ux + 10.0 * u ** 3
+        return ik * np.fft.rfft(flux, norm="forward")[:R1]
+    return kdv2
+
+
 def evolve(q: Potential, T: float, eq: str = "kdv", dt: float | None = None,
            M: int | None = None, stride: int | None = None) -> Trajectory:
     """Integrate the requested flow from u(0) = q up to time T.
 
-    Samples every `stride` steps (default: about 400 samples). On NaN or
-    overflow the trajectory is truncated at the last valid sample and
-    flagged aborted.
+    Only the modes 0..M//3 are advanced; the stored samples fill in the
+    conjugate negative modes and exact zeros above M//3. Samples every
+    `stride` steps (default: about 400 samples). On NaN or overflow the
+    trajectory is truncated at the last valid sample and flagged aborted.
     """
     dflt = DEFAULTS[eq] if eq in DEFAULTS else None
     if dflt is None:
@@ -172,35 +159,40 @@ def evolve(q: Potential, T: float, eq: str = "kdv", dt: float | None = None,
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     stride = max(1, nsteps // 400) if stride is None else stride
-    k = _wavenumbers(M)
-    mask = _dealias_mask(M)
-    L = _linear_symbol(eq, k)
-    E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(L, dt)
-    v = potential_to_state(q, M)
+    R1 = M // 3 + 1
+    k = _wavenumbers(M)[:R1]
+    E, E2, Q, f1, f2, f3 = _etdrk4_coeffs(_linear_symbol(eq, k), dt)
+    f2 = 2.0 * f2
+    nonlinear = _nonlinear_term(eq, k, M)
+    v = potential_to_state(q, M)[:R1]
     times = [0.0]
-    states = [v.copy()]
+    band = [v]
     aborted = False
     for step in range(1, nsteps + 1):
-        Nv = _nonlinear(eq, v, k, mask)
-        a = E2 * v + Q * Nv
-        Na = _nonlinear(eq, a, k, mask)
-        b = E2 * v + Q * Na
-        Nb = _nonlinear(eq, b, k, mask)
+        Nv = nonlinear(v)
+        Ev = E2 * v
+        a = Ev + Q * Nv
+        Na = nonlinear(a)
+        b = Ev + Q * Na
+        Nb = nonlinear(b)
         cst = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = _nonlinear(eq, cst, k, mask)
-        v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+        Nc = nonlinear(cst)
+        v = E * v + f1 * Nv + f2 * (Na + Nb) + f3 * Nc
         if step % stride == 0 or step == nsteps:
             if not np.all(np.isfinite(v)):
                 aborted = True
                 break
             times.append(step * dt)
-            states.append(v.copy())
-    return Trajectory(eq=eq, dt=dt, M=M, stride=stride,
-                      times=np.array(times), states=np.array(states),
-                      aborted=aborted, q0=q)
+            band.append(v)
+    band = np.array(band)
+    states = np.zeros((len(band), M), dtype=complex)
+    states[:, :R1] = band
+    states[:, M - R1 + 1:] = np.conj(band[:, :0:-1])
+    return Trajectory(eq=eq, dt=dt, M=M, stride=stride, times=np.array(times),
+                      states=states, aborted=aborted)
 
 
-def measure_mode_frequency(traj: Trajectory, n: int, window=None):
+def measure_mode_frequency(traj: Trajectory, n: int):
     """Least-squares phase velocity of mode n along the trajectory.
 
     Unwraps arg u_hat_n(t) and fits a line; the slope is the measured
@@ -209,9 +201,6 @@ def measure_mode_frequency(traj: Trajectory, n: int, window=None):
     """
     series = traj.mode_series(n)
     times = traj.times
-    if window is not None:
-        sel = (times >= window[0]) & (times <= window[1])
-        series, times = series[sel], times[sel]
     if series.size < 4:
         raise ValidationError("too few samples to fit a frequency")
     amp = np.abs(series)
@@ -270,14 +259,13 @@ def isospectral_drift(q: Potential, traj: Trajectory, ns, samples: int = 5,
 
 
 def grid_hamiltonians(state: GridState) -> dict:
-    """H0, H1, H2 of a grid state (Parseval + dealiased physical products)."""
+    """H0, H1, H2 of a grid state (Parseval + real-FFT products on 2M points)."""
     uh = state.u_hat
     M = state.M
     k = _wavenumbers(M)
-    P = 2 * M
-    u = _to_phys(uh, P)
-    ux = _to_phys(1j * k * uh, P)
-    uxx = _to_phys(-(k * k) * uh, P)
+    v, kv = uh[:(M + 1) // 2], k[:(M + 1) // 2]      # the nonnegative modes
+    u, ux, uxx = np.fft.irfft(np.stack((v, 1j * kv * v, -(kv * kv) * v)),
+                              2 * M, norm="forward")
     H0 = 0.5 * float(np.sum(np.abs(uh) ** 2))
     H1 = 0.5 * float(np.sum(k * k * np.abs(uh) ** 2) + 2.0 * np.mean(u ** 3))
     H2 = 0.5 * float(np.sum(k ** 4 * np.abs(uh) ** 2)

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's spectral machinery:
 a Fourier (Hill-matrix) eigensolve, a finite-difference transfer-matrix
 discriminant, a rectangle-contour action quadrature driven by discriminant
-values alone, and a dense scan for the psi-root condition.
+values alone, a dense scan for the psi-root condition, and a PDE step that
+forms its products on a zero-padded complex grid.
 """
 import numpy as np
 
+from kdvfreq import pde
 from kdvfreq.hill import discriminant_batch
 from kdvfreq.potentials import evaluate
 
@@ -108,3 +110,45 @@ def dense_sigma_root(spec, psi, k, width=0.45, npts=4001):
     i = idx[0]
     x0, x1, f0, f1 = sigmas[i], sigmas[i + 1], vals[i], vals[i + 1]
     return float(x0 - f0 * (x1 - x0) / (f1 - f0))
+
+
+def padded_etdrk4(q, eq, dt, M, nsteps):
+    """Final state after `nsteps` ETDRK4 steps in fft layout, every product
+    formed by complex FFTs zero-padded to 2M points and masked to
+    |n| <= M//3 (the 2/3 rule), over all M modes. The ETDRK4 coefficients
+    come from `pde`: only the transforms differ from `pde.evolve`."""
+    n = np.fft.fftfreq(M, d=1.0 / M)
+    k = 2.0 * np.pi * n
+    mask = (np.abs(n) <= M // 3).astype(float)
+    P = 2 * M
+    at = np.mod(n, P).astype(int)      # where mode n sits on the padded grid
+
+    def phys(vh):
+        up = np.zeros(P, dtype=complex)
+        up[at] = vh
+        return np.fft.ifft(up).real * P
+
+    def hat(u):
+        return (np.fft.fft(u) / P)[at]
+
+    def nonlinear(vh):
+        if eq == "airy":
+            return np.zeros(M, dtype=complex)
+        u = phys(vh)
+        if eq == "kdv":
+            return mask * (3j * k * hat(u * u))
+        ux, uxx = phys(1j * k * vh), phys(-(k * k) * vh)
+        return mask * (1j * k * hat(-10.0 * u * uxx - 5.0 * ux * ux + 10.0 * u ** 3))
+
+    E, E2, Q, f1, f2, f3 = pde._etdrk4_coeffs(pde._linear_symbol(eq, k), dt)
+    v = pde.potential_to_state(q, M)
+    for _ in range(nsteps):
+        Nv = nonlinear(v)
+        a = E2 * v + Q * Nv
+        Na = nonlinear(a)
+        b = E2 * v + Q * Na
+        Nb = nonlinear(b)
+        c = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = nonlinear(c)
+        v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+    return v

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -134,6 +135,39 @@ def test_resonance_scan_catches_planted_degeneracy():
     # handmade k that satisfies both conditions is reported.
     offenders = resonance_scan([2], 0, 2, 4)
     assert offenders == []
+
+
+def brute_force_offenders(A, c, kmax, window):
+    """Every k_A, every k_Z: k.lambda = 0 and (Ck)_A = 0 from the definitions."""
+    A = sorted(A)
+    Z = [j for j in range(1, window + 1) if j not in A]
+    kzs = [()] + [((j, v),) for j in Z for v in (-2, -1, 1, 2)]
+    kzs += [((j1, v1), (j2, v2)) for j1, j2 in combinations(Z, 2)
+            for v1 in (-1, 1) for v2 in (-1, 1)]
+    out = []
+    for kA in product(range(-kmax, kmax + 1), repeat=len(A)):
+        for kz in kzs:
+            k = dict(zip(A, kA))
+            k.update(dict(kz))
+            if not any(k.values()):
+                continue
+            S = {r: sum(v * j ** r for j, v in k.items()) for r in (1, 3, 5)}
+            # k.lambda = pi (32 pi^4 S5 + 80 pi^2 c S3 + 60 c^2 S1), and
+            # (Ck)_i = 60 c k_i - 80 pi^2 i (S1 - i k_i): pi is transcendental
+            lam_zero = S[5] == 0 and c * S[3] == 0 and c * c * S[1] == 0
+            ck_zero = all(c * k[i] == 0 and i * (S[1] - i * k[i]) == 0 for i in A)
+            if lam_zero and ck_zero:
+                out.append((tuple(kA), kz))
+    return out
+
+
+@pytest.mark.parametrize("A, c, kmax, window", [
+    ([1, 2], 0, 2, 8), ([1, 2], 0.5, 2, 8), ([2], -1.25, 3, 6),
+    ([1, 3], 0, 0, 7), ([1, 2], 0, 3, 0), ([0, 3], 0, 2, 5), ([0], 0.5, 2, 4),
+])
+def test_resonance_scan_matches_brute_force(A, c, kmax, window):
+    got = [(o.k_A, o.k_Z) for o in resonance_scan(A, c, kmax, window)]
+    assert got == brute_force_offenders(A, c, kmax, window)
 
 
 def test_comb_identities_forced_values():

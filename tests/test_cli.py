@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from kdvfreq import invariants
-from kdvfreq.cli import main
+from kdvfreq.cli import _dump_json, _trajectory_lines, main
 from kdvfreq.potentials import potential_to_json, single_mode
 
 
@@ -134,6 +135,18 @@ def test_evolve_jsonl(capsys, pot_file):
     assert len(first["modes"]) == 32
 
 
+def test_trajectory_lines_match_dump_json():
+    times = np.array([0.0, 1e-5, 2.5e-300])
+    states = np.array([[0.1 + 0j, 1 / 3 - 2e-20j, -0.0 + 0j, np.nan + 1j],
+                       [np.inf - 1j, 1e300 + np.nan * 1j, 0.5 - 0.25j, -7e-310 + 3j],
+                       [0j, 0j, 0j, 0j]])
+    want = "\n".join(_dump_json({"t": float(t),
+                                 "modes": [[float(v.real), float(v.imag)] for v in row]})
+                     for t, row in zip(times, states))
+    assert _trajectory_lines(times, states) == want
+    assert "null" in want
+
+
 def test_crosscheck_report(capsys, pot_file):
     code, out = run(capsys, ["crosscheck", "--potential", pot_file, "--eq", "kdv",
                              "--n", "1", "--T", "0.02"])
@@ -182,6 +195,9 @@ BAD_POTENTIALS = {
     ["crosscheck", "--n", "-1"],
     ["freq", "--n", "1..2", "--K", "0"],
     ["hamiltonians", "--N", "2", "--K", "-1"],
+    ["actions", "--N", "0"],
+    ["freq", "--n", "1..2", "--N", "0"],
+    ["hamiltonians", "--N", "0"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):

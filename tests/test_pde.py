@@ -5,7 +5,15 @@ import pytest
 
 from kdvfreq import pde
 from kdvfreq.errors import PhaseWrapError, ValidationError
-from kdvfreq.potentials import cosine_sum, make_potential, single_mode
+from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
+                                make_potential, single_mode)
+from oracles import padded_etdrk4
+
+
+def band_potential(M):
+    """A mean plus up to three modes, all inside the dealiased band."""
+    pairs = [(n, complex(0.04 / n, 0.01 * n)) for n in range(1, min(4, M // 3))]
+    return make_potential(pairs, 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +164,42 @@ def test_isospectral_drift_kdv2():
     traj = pde.evolve(q, 0.005, "kdv2", dt=4e-7, M=128)
     drift, _ = pde.isospectral_drift(q, traj, [1, 2], samples=3)
     assert drift <= 1e-5
+
+
+@pytest.mark.parametrize("eq, M", [("kdv", 64), ("kdv", 256), ("kdv2", 128),
+                                   ("kdv", 1), ("kdv", 2), ("kdv", 4),
+                                   ("kdv2", 1), ("kdv2", 2), ("kdv2", 4)])
+def test_step_matches_padded_reference(eq, M):
+    # the retained-band real-FFT step against products zero-padded to 2M
+    # complex points and masked to |n| <= M/3, over 200 steps
+    q = band_potential(M)
+    dt = pde.DEFAULTS[eq]["dt"]
+    want = padded_etdrk4(q, eq, dt, M, 200)
+    got = pde.evolve(q, 200 * dt, eq, dt=dt, M=M).states[-1]
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("eq, M", [("kdv", 64), ("kdv2", 128)])
+def test_stored_states_band_limited_and_real(eq, M):
+    q = band_potential(M)
+    dt = pde.DEFAULTS[eq]["dt"]
+    traj = pde.evolve(q, 300 * dt, eq, dt=dt, M=M, stride=50)
+    R = M // 3
+    assert len(traj.times) == 7
+    assert np.all(traj.states[:, R + 1:M - R] == 0)
+    assert np.all(traj.states[1:, R] != 0)      # the products reach the band edge
+    for i in range(len(traj.times)):
+        assert traj.state(i).reality_defect() == 0.0
+
+
+def test_grid_hamiltonians_match_direct_quadrature():
+    q = cosine_sum([(1, 0.1), (3, 0.05)], mean=0.2)
+    h = pde.grid_hamiltonians(pde.GridState(64, pde.potential_to_state(q, 64), 0.0))
+    x = np.arange(4096) / 4096.0
+    u = evaluate(q, x)
+    ux = evaluate_derivative(q, x, 1)
+    uxx = evaluate_derivative(q, x, 2)
+    assert h["H0"] == pytest.approx(0.5 * np.mean(u ** 2), rel=1e-12)
+    assert h["H1"] == pytest.approx(0.5 * np.mean(ux ** 2 + 2 * u ** 3), rel=1e-12)
+    assert h["H2"] == pytest.approx(
+        0.5 * np.mean(uxx ** 2 + 10 * u * ux ** 2 + 5 * u ** 4), rel=1e-12)
