@@ -11,7 +11,7 @@ from .potentials import (Potential, make_potential, evaluate, single_mode,
                          potential_to_json)
 from .hill import DiscriminantValue, HillSpectrum, discriminant, periodic_spectrum
 from .roots import (GapContour, PsiFunction, standard_root, canonical_root,
-                    floquet_F_on_gap, psi_solve, gap_contour)
+                    psi_solve, gap_contour)
 from .invariants import (ActionVector, MomentTable, FrequencyReport,
                          HamiltonianValues, action_vector, moments,
                          freq_kdv, freq_kdv2, hamiltonians, frequency_report,

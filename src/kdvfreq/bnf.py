@@ -200,6 +200,8 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
     A = sorted(int(a) for a in A)
     if kmax < 0 or window < 0:
         raise ValidationError("kmax and window must be nonnegative")
+    if A and A[0] < 1:
+        raise ValidationError("gap indices in A must be at least 1")
     Z = [j for j in range(1, window + 1) if j not in A]
     c_zero = (c == 0)
 

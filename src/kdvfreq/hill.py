@@ -130,10 +130,19 @@ class HillSpectrum:
     N: int
     ode_tol: float
     potential: Potential = field(repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lam0(self):
         return self.lambda_plus[0]
+
+    def _gap_nodes(self, nodes: int) -> GapNodes:
+        """The open gaps' node block at ``nodes`` Chebyshev nodes, built once."""
+        if nodes not in self._blocks:
+            op = self.open_gap
+            self._blocks[nodes] = _build_gap_nodes(
+                self.tau[op], self.gamma[op], self.lam0, cheb_nodes(nodes).astype(self.tau.dtype))
+        return self._blocks[nodes]
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -229,6 +238,11 @@ def _ritz(H, V, ev, idx, top, qnorm, eps):
 # ---------------------------------------------------------------------------
 # gap conditions
 
+def cheb_nodes(K: int) -> np.ndarray:
+    """First-kind Gauss-Chebyshev nodes on (-1, 1), increasing."""
+    return np.cos(np.pi * (2.0 * np.arange(K, 0, -1) - 1.0) / (2.0 * K))
+
+
 def _varsigma(tau, gamma, lam):
     """Standard root (tau - lam) sqrt(1 - gamma^2 / 4 (tau - lam)^2) of a gap at
     real lam off it, in the dtype of the arguments (broadcasting)."""
@@ -236,35 +250,52 @@ def _varsigma(tau, gamma, lam):
     return d * np.sqrt(1 - (gamma / 2) ** 2 / (d * d))
 
 
-def _gap_products(tau, gamma, roots, lam0, t):
-    """prod_{m != k} (roots_m - lam) / varsigma_m(lam) / sqrt(lam - lam0) at
-    lam = tau_k + t gamma_k / 2, for every gap k of the list at once (the
-    products run over the listed gaps).
+@dataclass(frozen=True)
+class GapNodes:
+    """The part of the gap quadratures that depends on neither sigma nor n,
+    for d listed gaps: lam[k] = tau_k + t gamma_k / 2 (d, nodes),
+    vs[m, k] = varsigma_m(lam[k]) (d, d, nodes; the diagonal, where lam lies
+    on gap m itself, is NaN or 0 and never read) and root = sqrt(lam - lam0)
+    (d, nodes)."""
 
-    Returns (lam, products), both (gaps, nodes). With roots = lam^* this is
-    chi_k / (k pi), the integrand of the gap conditions."""
+    lam: np.ndarray
+    vs: np.ndarray
+    root: np.ndarray
+
+    def products(self, roots, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """prod_{m != k} (roots_m - lam_k) / varsigma_m(lam_k) for the listed
+        gaps k = lo..hi-1: (hi - lo, nodes), bit for bit a per-gap loop."""
+        hi = self.lam.shape[0] if hi is None else hi
+        fac = roots[:, None, None] - self.lam[None, lo:hi]
+        with np.errstate(invalid="ignore", divide="ignore"):  # m == k: NaN or 0
+            fac /= self.vs[:, lo:hi]
+        fac[np.arange(lo, hi), np.arange(hi - lo)] = 1
+        return np.prod(fac, axis=0)
+
+
+def _build_gap_nodes(tau, gamma, lam0, t) -> GapNodes:
+    """The node block of the listed gaps at the nodes t (spectrum dtype)."""
     lam = tau[:, None] + t[None, :] * (gamma[:, None] / 2)
     with np.errstate(invalid="ignore", divide="ignore"):  # m == k: on its own gap
         vs = _varsigma(tau[:, None, None], gamma[:, None, None], lam[None, :, :])
-        fac = (roots[:, None, None] - lam[None, :, :]) / vs   # (m, k, nodes)
-    fac[np.arange(tau.size), np.arange(tau.size)] = 1
-    return lam, np.prod(fac, axis=0) / np.sqrt(lam - lam0)
+    return GapNodes(lam, vs, np.sqrt(lam - lam0))
 
 
 def _critical_points(tau, gamma, lam0, eps, max_iter=50):
     """lam_k^* of the listed open gaps: the weighted-mean fixed point
     lam_k^* = sum_j lam_j chi_k(lam_j) / sum_j chi_k(lam_j), all gaps at once,
-    taken as an offset from tau_k so that rounding scales with gamma_k."""
-    t = np.cos(np.pi * (2.0 * np.arange(_STAR_NODES, 0, -1) - 1.0)
-               / (2.0 * _STAR_NODES)).astype(tau.dtype)
+    taken as an offset from tau_k so that rounding scales with gamma_k;
+    returned with the node block it was solved on."""
+    t = cheb_nodes(_STAR_NODES).astype(tau.dtype)
+    block = _build_gap_nodes(tau, gamma, lam0, t)
     lam_star = tau.copy()
     for _ in range(max_iter):
-        _, chi = _gap_products(tau, gamma, lam_star, lam0, t)
+        chi = block.products(lam_star) / block.root
         new = tau + (gamma / 2) * (np.sum(t * chi, axis=1) / np.sum(chi, axis=1))
         change = np.abs((new - lam_star).astype(float))
         lam_star = new
         if np.all(change <= 4.0 * eps * np.abs(tau.astype(float))):
-            return lam_star
+            return lam_star, block
     raise NumericalError("critical points lam_n^* did not settle")
 
 
@@ -321,15 +352,16 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
 
     lam_star = np.full(N + 1, np.nan, dtype=dtype)
     lam_star[1:] = tau[1:]
-    ns = np.nonzero(open_mask)[0]
-    if ns.size:
-        lam_star[ns] = _critical_points(tau[ns], gamma[ns], lam_plus[0], eps)
-
-    return HillSpectrum(
+    spec = HillSpectrum(
         lambda_plus=lam_plus, lambda_minus=lam_minus, lambda_dot=lam_star,
         gamma=gamma, tau=tau, open_gap=open_mask, gamma_floor=floor,
         gamma_rel_err=rel_err, N=N, ode_tol=ode_tol, potential=q,
     )
+    ns = np.nonzero(open_mask)[0]
+    if ns.size:
+        lam_star[ns], spec._blocks[_STAR_NODES] = _critical_points(
+            tau[ns], gamma[ns], lam_plus[0], eps)
+    return spec
 
 
 def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import roots
 from .errors import NumericalError, ValidationError
-from .hill import HillSpectrum, periodic_spectrum
+from .hill import HillSpectrum, _varsigma, periodic_spectrum
 from .potentials import Potential, evaluate, evaluate_derivative
-from .roots import PsiFunction, cheb_nodes, gap_contour, psi_solve
+from .roots import PsiFunction, cheb_nodes, psi_solve
 
 __all__ = ["ActionVector", "MomentTable", "FrequencyReport", "HamiltonianValues",
            "JacobianResult", "action_vector", "moments", "freq_kdv",
@@ -73,22 +73,21 @@ def _chi_values(spec: HillSpectrum, n: int, lam: np.ndarray) -> np.ndarray:
     return pref * np.prod(fac, axis=0)
 
 
-def _action_ratio(spec: HillSpectrum, n: int, nodes: int) -> float:
-    """(2/pi) int (t - t_n)^2 chi_n(lam_t) / sqrt(1-t^2) dt over gap n."""
-    if not spec.open_gap[n]:
-        return float(_chi_values(spec, n, np.atleast_1d(spec.tau[n]))[0])
-    t = cheb_nodes(nodes)
-    ct = gap_contour(spec, n, t)
-    chi = _chi_values(spec, n, ct.lam.astype(spec.tau.dtype))
-    t_n = 2.0 * float(spec.lambda_dot[n] - spec.tau[n]) / float(spec.gamma[n])
-    return float(2.0 * np.sum((t - t_n) ** 2 * chi) / nodes)
+def _action_ratios(spec: HillSpectrum, ns, t, root, prod) -> np.ndarray:
+    """(2/pi) int (t - t_n)^2 chi_n(lam_t) / sqrt(1-t^2) dt over each open gap
+    n of ns, from the rows sqrt(lam - lam0) and prod_{m != n} of chi_n."""
+    chi = (np.array(ns)[:, None] * math.pi / root) * prod
+    t_n = 2.0 * (spec.lambda_dot[ns] - spec.tau[ns]).astype(float) / spec.gamma[ns].astype(float)
+    return (2.0 * np.sum((t - t_n[:, None]) ** 2 * chi, axis=1) / t.size).astype(float)
 
 
 def action_vector(spec: HillSpectrum, N: int | None = None,
                   nodes: int = 96) -> ActionVector:
     """Actions I_n of gaps 1..N (default spec.N), each from 2 x nodes
     Chebyshev nodes with the change from nodes as its error estimate;
-    collapsed gaps give exactly I_n = err = 0."""
+    collapsed gaps give exactly I_n = err = 0. The nodes pass reads the
+    spectrum's node block; the 2 x nodes pass multiplies its products up one
+    gap m at a time, with no (d, d, 2 nodes) array (see ``roots``)."""
     if nodes < 1:
         raise ValidationError("nodes must be at least 1")
     N = spec.N if N is None else N
@@ -96,14 +95,29 @@ def action_vector(spec: HillSpectrum, N: int | None = None,
     ratio = np.full(N + 1, np.nan)
     err = np.zeros(N + 1)
     for n in range(1, N + 1):
-        ratio[n] = _action_ratio(spec, n, nodes)
-        if spec.open_gap[n]:
-            g = float(spec.gamma[n])
-            scale = g * g / (8.0 * n * math.pi)
-            r2 = _action_ratio(spec, n, 2 * nodes)
-            I[n] = scale * r2
-            err[n] = abs(scale * (r2 - ratio[n]))
-            ratio[n] = r2
+        if not spec.open_gap[n]:
+            ratio[n] = float(_chi_values(spec, n, np.atleast_1d(spec.tau[n]))[0])
+    opens = spec.open_indices()
+    ns = [n for n in opens if n <= N]
+    block = spec._gap_nodes(nodes)
+    r1 = _action_ratios(spec, ns, cheb_nodes(nodes), block.root[:len(ns)],
+                        block.products(spec.lambda_dot[opens], 0, len(ns)))
+    t2 = cheb_nodes(2 * nodes)
+    tau, gamma, star = (a[opens][:, None] for a in (spec.tau, spec.gamma, spec.lambda_dot))
+    lam = tau[:len(ns)] + t2 * (gamma[:len(ns)] / 2)
+    prod = np.ones_like(lam)
+    with np.errstate(invalid="ignore", divide="ignore"):  # m == n: on its own gap
+        for i in range(len(opens)):
+            fac = (star[i] - lam) / _varsigma(tau[i], gamma[i], lam)
+            fac[i:i + 1] = 1              # row i is gap m itself, if m <= N
+            prod *= fac
+    r2 = _action_ratios(spec, ns, t2, np.sqrt(lam - spec.lam0), prod)
+    for n, a, b in zip(ns, r1, r2):
+        g = float(spec.gamma[n])
+        scale = g * g / (8.0 * n * math.pi)
+        I[n] = scale * b
+        err[n] = abs(scale * (b - a))
+        ratio[n] = b
     flagged = err > 1e-6 * np.maximum(I, 1e-12)
     return ActionVector(I=I, ratio=ratio, err=err, flagged=flagged, N=N)
 
@@ -129,7 +143,9 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
     """Omega_nk^(m) for m = 2, 4, n <= N, k <= K, and R_k^(m) for m = 1, 3, 5.
 
     Odd Omega moments and even R moments vanish identically (short circuit),
-    as does every moment of a collapsed gap k.
+    as does every moment of a collapsed gap k. Per n, one product over the
+    spectrum's node block gives g_nk on every open gap k <= K; each moment
+    is a sum along its row, the same sum as gap by gap (see ``roots``).
     """
     K = spec.N if K is None else K
     if not 1 <= K <= spec.N:
@@ -142,18 +158,18 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
     om4 = np.zeros((N + 1, K + 1))
     R = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
     opens = [k for k in spec.open_indices() if k <= K]
+    F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), nodes)
+    F2 = F ** 2
+    w = 2.0 * math.pi / nodes
+    for n in range(1, N + 1):
+        g = np.asarray(roots._block_quotients(spec, psis[n], nodes, 0, len(opens)),
+                       dtype=float)
+        om2[n, opens] = w * np.sum(F2 * g, axis=1)
+        om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
     t = cheb_nodes(nodes)
     root_w = np.sqrt(1.0 - t * t)
-    for k in opens:
-        ct = gap_contour(spec, k, t)
-        lam = ct.lam.astype(spec.tau.dtype)
-        F2 = np.asarray(Fv[k], dtype=float) ** 2
-        for n in range(1, N + 1):
-            g = np.asarray(roots.psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
-            om2[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * g))
-            om4[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * F2 * g))
+    for k, Fk in zip(opens, F):
         gk = float(spec.gamma[k])
-        Fk = np.asarray(Fv[k], dtype=float)
         for m in (1, 3, 5):
             R[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
     return MomentTable(omega2=om2, omega4=om4, R=R, N=N, K=K, nodes=nodes)
@@ -167,39 +183,6 @@ def omega0_table(spec: HillSpectrum, psis: dict[int, PsiFunction],
         for k in range(1, K + 1):
             out[n, k] = roots.condition_integral(spec, psis[n], k, nodes)
     return out
-
-
-def moment_without_shortcircuit(spec: HillSpectrum, psi: PsiFunction,
-                                k: int, m: int, nodes: int = 96) -> float:
-    """Omega_nk^(m) with both gap sides quadratured separately and combined.
-
-    For odd m (or even R moments) the side sums cancel; evaluating them
-    independently checks the side sign conventions rather than assuming them.
-    """
-    if not spec.open_gap[k]:
-        return 0.0
-    t = cheb_nodes(nodes)
-    ct = gap_contour(spec, k, t)
-    lam = ct.lam.astype(spec.tau.dtype)
-    g = np.asarray(roots.psi_quotient_on_gap(spec, psi, k, lam), dtype=float)
-    Fm = np.asarray(_F_table(spec, nodes)[k], dtype=float)
-    side_minus = (math.pi / nodes) * np.sum(Fm ** m * g)
-    side_plus = (math.pi / nodes) * np.sum((-Fm) ** m * g)
-    return float(side_minus + side_plus)
-
-
-def r_moment_without_shortcircuit(spec: HillSpectrum, k: int,
-                                  m: int, nodes: int = 96) -> float:
-    """R_k^(m) from both gap sides separately (cancels to noise for even m)."""
-    if not spec.open_gap[k]:
-        return 0.0
-    Fm = np.asarray(_F_table(spec, nodes)[k], dtype=float)
-    t = cheb_nodes(nodes)
-    w = np.sqrt(1.0 - t * t)
-    gk = float(spec.gamma[k])
-    side_minus = -(gk / (2.0 * nodes)) * np.sum(Fm ** m * w)
-    side_plus = +(gk / (2.0 * nodes)) * np.sum((-Fm) ** m * w)
-    return float(side_minus + side_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ parametrization lam_t = tau + t*gamma/2 exposes an exact 1/sqrt(1-t^2)
 endpoint weight. Collapsed gaps contribute the factor 1 exactly to every
 root quotient, so products run over the open gaps only; modes beyond the
 spectrum truncation are handled by the sin-product tail.
+
+The products prod_m (s_m - lam) / varsigma_m(lam) at the nodes of the open
+gaps read one block per spectrum and node count (``HillSpectrum._gap_nodes``:
+the nodes, every varsigma_m there, sqrt(lam - lam0)), built with lam^* and
+shared by psi, the moments and the actions. Each factor divides by varsigma,
+the m == k factor is exactly 1 and m ascends, so every value is bit for bit
+that of a per-gap loop.
 """
 from __future__ import annotations
 
@@ -16,24 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonError, NumericalError, ValidationError
-from .hill import (HillSpectrum, discriminant_batch, _delta_noise, _gap_products,
-                   _varsigma, _LPI)
+from .hill import (HillSpectrum, cheb_nodes, discriminant_batch, _delta_noise,
+                   _build_gap_nodes, _varsigma, _LPI)
 from .potentials import Potential
 from .seqspace import zeta_tail
 
 __all__ = ["GapContour", "PsiFunction", "standard_root", "canonical_root",
-           "floquet_F_on_gap", "psi_solve", "gap_contour", "cheb_nodes",
+           "psi_solve", "gap_contour", "cheb_nodes",
            "gap_F_values", "gap_F_integrated", "psi_quotient_on_gap",
            "condition_integral"]
 
 
 # ---------------------------------------------------------------------------
-# quadrature nodes and contours
-
-def cheb_nodes(K: int) -> np.ndarray:
-    """First-kind Gauss-Chebyshev nodes on (-1, 1), increasing."""
-    return np.cos(np.pi * (2.0 * np.arange(K, 0, -1) - 1.0) / (2.0 * K))
-
+# contours
 
 @dataclass(frozen=True)
 class GapContour:
@@ -164,36 +166,6 @@ def canonical_root(spec: HillSpectrum, lam):
 # ---------------------------------------------------------------------------
 # Floquet exponent on gap sides
 
-def floquet_F_on_gap(q: Potential, spec: HillSpectrum, n: int, t, side: str = "minus",
-                     tol: float | None = None):
-    """Normalized Floquet exponent F_n at lam_t on one side of gap n.
-
-    F_n = +-acosh((-1)^n Delta(lam_t)/2) on the upper/lower side (real
-    valued, vanishing at the endpoints t = -+1). Requires gamma_n > 0.
-    """
-    if side not in ("plus", "minus"):
-        raise ValidationError("side must be 'plus' or 'minus'")
-    if not spec.open_gap[n]:
-        raise ValidationError(f"gap {n} is collapsed; F_n has no gap side there")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    ct = gap_contour(spec, n, t, side)
-    tol = spec.ode_tol if tol is None else tol
-    d = discriminant_batch(q, ct.lam.astype(spec.tau.dtype), tol)
-    arg = ((-1.0) ** n) * np.asarray(d["delta"], dtype=float) / 2.0
-    noise = _delta_noise(float(np.max(np.abs(ct.lam))), tol,
-                         float(np.finfo(spec.tau.dtype).eps))
-    bad = arg < 1.0 - max(1e-12, 5.0 * noise)
-    if np.any(bad):
-        raise NumericalError(
-            f"(-1)^n Delta/2 = {np.min(arg):.15f} < 1 inside gap {n}: "
-            "spectral data inconsistent with the discriminant")
-    F = np.arccosh(np.maximum(arg, 1.0))
-    F[np.abs(t) == 1.0] = 0.0
-    sgn = 1.0 if side == "plus" else -1.0
-    out = sgn * F
-    return float(out[0]) if out.size == 1 and np.ndim(t) <= 1 and t.size == 1 else out
-
-
 def gap_F_values(q: Potential, spec: HillSpectrum, nodes: int = 96,
                  ks=None, tol: float | None = None) -> dict[int, np.ndarray]:
     """F_k at the Chebyshev nodes of every requested open gap (minus side),
@@ -233,9 +205,9 @@ def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarra
     dtype = spec.tau.dtype.type
     pi = _LPI if dtype == np.longdouble else np.pi
     theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
-    lam, prod = _gap_products(spec.tau[ks], spec.gamma[ks], spec.lambda_dot[ks],
-                              spec.lam0, np.cos(theta))
-    f = (spec.lambda_dot[ks][:, None] - lam) * prod / 2          # chi_k = k pi prod
+    block = _build_gap_nodes(spec.tau[ks], spec.gamma[ks], spec.lam0, np.cos(theta))
+    prod = block.products(spec.lambda_dot[ks]) / block.root
+    f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
     m = np.arange(1, nodes, dtype=dtype)
     mt = np.multiply.outer(m, theta)                    # (modes, nodes)
     a = (f @ np.cos(mt).T) * (dtype(2) / nodes)         # cosine coefficients
@@ -302,6 +274,19 @@ def psi_quotient_on_gap(spec: HillSpectrum, psi: PsiFunction, k: int, lam):
     return (1.0 + psi.rho) * g
 
 
+def _block_quotients(spec: HillSpectrum, psi: PsiFunction, nodes: int,
+                     lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """``psi_quotient_on_gap`` at the nodes of the open gaps lo..hi-1 (in
+    ``open_indices`` order), one row per gap, from the spectrum's node block."""
+    block = spec._gap_nodes(nodes)
+    opens = np.nonzero(spec.open_gap)[0]
+    ks = opens[lo:hi]
+    g = (psi.n * math.pi / block.root[lo:hi]) * block.products(psi.sigma[opens], lo, hi)
+    other = ks != psi.n
+    g[other] *= psi.sigma[ks[other], None] - block.lam[lo:hi][other]
+    return (1.0 + psi.rho) * g
+
+
 def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
                        nodes: int | None = None) -> float:
     """(1/2 pi) * contour integral of psi_n / sqrt_c(Delta^2 - 4) around gap k.
@@ -318,9 +303,8 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
         lam = np.atleast_1d(spec.tau[k])
         pref, fac, _ = _gap_quotient_products(spec, psi.sigma, psi.n, k, lam)
         return float((1.0 + psi.rho) * pref[0] * np.prod(fac[:, 0]))
-    ct = gap_contour(spec, k, cheb_nodes(nodes))
-    g = psi_quotient_on_gap(spec, psi, k, ct.lam)
-    return float(np.sum(g) / nodes)
+    i = spec.open_indices().index(k)
+    return float(np.sum(_block_quotients(spec, psi, nodes, i, i + 1)[0]) / nodes)
 
 
 def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
@@ -343,14 +327,13 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
     opens = spec.open_indices()
     unknowns = [k for k in opens if k != n]
     rows = [i for i, k in enumerate(opens) if k != n]
-    t = cheb_nodes(nodes).astype(dtype)
+    block = spec._gap_nodes(nodes)
+    lam = block.lam[rows]
     diag = np.diag_indices(len(unknowns))
 
     def residuals_and_jac(sig):
         # row a: gap k = unknowns[a]; sigma_j enters g through one linear factor
-        lam, prod = _gap_products(spec.tau[opens], spec.gamma[opens], sig[opens],
-                                  spec.lam0, t)
-        lam, prod = lam[rows], (n * math.pi) * prod[rows]
+        prod = (n * math.pi) * (block.products(sig[opens]) / block.root)[rows]
         s = sig[unknowns]
         g = prod * (s[:, None] - lam)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -163,11 +163,17 @@ def brute_force_offenders(A, c, kmax, window):
 
 @pytest.mark.parametrize("A, c, kmax, window", [
     ([1, 2], 0, 2, 8), ([1, 2], 0.5, 2, 8), ([2], -1.25, 3, 6),
-    ([1, 3], 0, 0, 7), ([1, 2], 0, 3, 0), ([0, 3], 0, 2, 5), ([0], 0.5, 2, 4),
+    ([1, 3], 0, 0, 7), ([1, 2], 0, 3, 0), ([2, 3], 0, 2, 5), ([1], 0.5, 2, 4),
 ])
 def test_resonance_scan_matches_brute_force(A, c, kmax, window):
     got = [(o.k_A, o.k_Z) for o in resonance_scan(A, c, kmax, window)]
     assert got == brute_force_offenders(A, c, kmax, window)
+
+
+@pytest.mark.parametrize("A", [[0], [0, 3], [-1, 2], [2, -3]])
+def test_resonance_scan_rejects_gap_indices_below_1(A):
+    with pytest.raises(ValidationError):
+        resonance_scan(A, 0, 1, 4)
 
 
 def test_comb_identities_forced_values():

@@ -198,6 +198,8 @@ BAD_POTENTIALS = {
     ["actions", "--N", "0"],
     ["freq", "--n", "1..2", "--N", "0"],
     ["hamiltonians", "--N", "0"],
+    ["resonance", "--A", "0,3", "--Kmax", "1", "--window", "4"],
+    ["resonance", "--A=-1,2"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):

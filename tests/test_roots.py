@@ -8,10 +8,10 @@ from kdvfreq.errors import ValidationError
 from kdvfreq.hill import discriminant, discriminant_batch, periodic_spectrum
 from kdvfreq.potentials import cosine_sum, make_potential, single_mode
 from kdvfreq.roots import (canonical_root, cheb_nodes, condition_integral,
-                           floquet_F_on_gap, gap_contour, psi_quotient_on_gap,
-                           psi_solve, standard_root)
+                           gap_contour, psi_quotient_on_gap, psi_solve,
+                           standard_root)
 
-from oracles import dense_sigma_root
+from oracles import dense_sigma_root, floquet_F_on_gap
 
 
 @pytest.fixture(scope="module")
