@@ -254,9 +254,11 @@ def _varsigma(tau, gamma, lam):
 class GapNodes:
     """The part of the gap quadratures that depends on neither sigma nor n,
     for d listed gaps: lam[k] = tau_k + t gamma_k / 2 (d, nodes),
-    vs[m, k] = varsigma_m(lam[k]) (d, d, nodes; the diagonal, where lam lies
-    on gap m itself, is NaN or 0 and never read) and root = sqrt(lam - lam0)
-    (d, nodes)."""
+    vs[m, k] = varsigma_m(lam[k]) (d, d, nodes) and root = sqrt(lam - lam0)
+    (d, nodes). The diagonal of vs, where lam lies on gap m itself, is never
+    read and holds 1: the standard root there is NaN (or 0 at a rounded end
+    node), and x87 long-double arithmetic on a NaN operand runs several
+    times slower than on a finite one."""
 
     lam: np.ndarray
     vs: np.ndarray
@@ -267,8 +269,7 @@ class GapNodes:
         gaps k = lo..hi-1: (hi - lo, nodes), bit for bit a per-gap loop."""
         hi = self.lam.shape[0] if hi is None else hi
         fac = roots[:, None, None] - self.lam[None, lo:hi]
-        with np.errstate(invalid="ignore", divide="ignore"):  # m == k: NaN or 0
-            fac /= self.vs[:, lo:hi]
+        fac /= self.vs[:, lo:hi]
         fac[np.arange(lo, hi), np.arange(hi - lo)] = 1
         return np.prod(fac, axis=0)
 
@@ -278,6 +279,7 @@ def _build_gap_nodes(tau, gamma, lam0, t) -> GapNodes:
     lam = tau[:, None] + t[None, :] * (gamma[:, None] / 2)
     with np.errstate(invalid="ignore", divide="ignore"):  # m == k: on its own gap
         vs = _varsigma(tau[:, None, None], gamma[:, None, None], lam[None, :, :])
+    vs[np.arange(tau.size), np.arange(tau.size)] = 1
     return GapNodes(lam, vs, np.sqrt(lam - lam0))
 
 

@@ -91,6 +91,8 @@ def action_vector(spec: HillSpectrum, N: int | None = None,
     if nodes < 1:
         raise ValidationError("nodes must be at least 1")
     N = spec.N if N is None else N
+    if N > spec.N:
+        raise ValidationError(f"N={N} exceeds the spectrum truncation {spec.N}")
     I = np.zeros(N + 1)
     ratio = np.full(N + 1, np.nan)
     err = np.zeros(N + 1)
@@ -106,11 +108,13 @@ def action_vector(spec: HillSpectrum, N: int | None = None,
     tau, gamma, star = (a[opens][:, None] for a in (spec.tau, spec.gamma, spec.lambda_dot))
     lam = tau[:len(ns)] + t2 * (gamma[:len(ns)] / 2)
     prod = np.ones_like(lam)
-    with np.errstate(invalid="ignore", divide="ignore"):  # m == n: on its own gap
-        for i in range(len(opens)):
-            fac = (star[i] - lam) / _varsigma(tau[i], gamma[i], lam)
-            fac[i:i + 1] = 1              # row i is gap m itself, if m <= N
-            prod *= fac
+    for i in range(len(opens)):
+        with np.errstate(invalid="ignore", divide="ignore"):  # row i: on gap m itself
+            vs = _varsigma(tau[i], gamma[i], lam)
+        vs[i:i + 1] = 1                   # row i is gap m itself, if m <= N
+        fac = (star[i] - lam) / vs
+        fac[i:i + 1] = 1
+        prod *= fac
     r2 = _action_ratios(spec, ns, t2, np.sqrt(lam - spec.lam0), prod)
     for n, a, b in zip(ns, r1, r2):
         g = float(spec.gamma[n])
@@ -143,9 +147,10 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
     """Omega_nk^(m) for m = 2, 4, n <= N, k <= K, and R_k^(m) for m = 1, 3, 5.
 
     Odd Omega moments and even R moments vanish identically (short circuit),
-    as does every moment of a collapsed gap k. Per n, one product over the
-    spectrum's node block gives g_nk on every open gap k <= K; each moment
-    is a sum along its row, the same sum as gap by gap (see ``roots``).
+    as does every moment of a collapsed gap k. Per n, g_nk on every open
+    gap k <= K is read from the node values psi_n carries, or formed from
+    the spectrum's node block without them; each moment is a sum along its
+    row, the same sum as gap by gap (see ``roots``).
     """
     K = spec.N if K is None else K
     if not 1 <= K <= spec.N:

@@ -12,13 +12,18 @@ gaps read one block per spectrum and node count (``HillSpectrum._gap_nodes``:
 the nodes, every varsigma_m there, sqrt(lam - lam0)), built with lam^* and
 shared by psi, the moments and the actions. Each factor divides by varsigma,
 the m == k factor is exactly 1 and m ascends, so every value is bit for bit
-that of a per-gap loop.
+that of a per-gap loop. The block holds 1, not the NaN varsigma, where a gap
+meets its own nodes: x87 long-double arithmetic on NaN operands is slow.
+
+``psi_solve`` forms no Jacobian on its last (polish) evaluation; the
+products of that evaluation give the normalization and the node values g_nk
+that the returned psi carries and ``invariants.moments`` reads.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,6 +231,12 @@ class PsiFunction:
     gaps, the critical point for m = n); the roots past spec.N are the free
     values m^2 pi^2 and are not stored. ``rho`` is the relative deviation of
     the solved prefactor from 2/(n pi).
+
+    ``node_values`` holds g_nk (``psi_quotient_on_gap``) at the nodes of every
+    open gap, one row per gap in ``open_indices`` order, at the sigma and rho
+    ``psi_solve`` leaves: read-only, tied to the node block they were formed
+    on, and dropped by ``dataclasses.replace`` (change sigma or rho through
+    it, not in place).
     """
 
     n: int
@@ -235,6 +246,9 @@ class PsiFunction:
     residuals: dict[int, float]
     iterations: int
     nodes: int = 96
+    node_values: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
+    _node_block: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -274,16 +288,27 @@ def psi_quotient_on_gap(spec: HillSpectrum, psi: PsiFunction, k: int, lam):
     return (1.0 + psi.rho) * g
 
 
+def _unit_quotients(n, sigma, ks, lam, root, prods) -> np.ndarray:
+    """g_nk / (1 + rho) at the nodes lam of the open gaps ks, from their
+    products prod_{m != k} (sigma_m - lam) / varsigma_m(lam)."""
+    g = (n * math.pi / root) * prods
+    other = ks != n
+    g[other] *= sigma[ks[other], None] - lam[other]
+    return g
+
+
 def _block_quotients(spec: HillSpectrum, psi: PsiFunction, nodes: int,
                      lo: int = 0, hi: int | None = None) -> np.ndarray:
     """``psi_quotient_on_gap`` at the nodes of the open gaps lo..hi-1 (in
-    ``open_indices`` order), one row per gap, from the spectrum's node block."""
+    ``open_indices`` order), one row per gap: the node values psi carries
+    when they were formed on the spectrum's block at this node count,
+    otherwise formed from that block."""
     block = spec._gap_nodes(nodes)
+    if psi._node_block is block:
+        return psi.node_values[lo:hi]
     opens = np.nonzero(spec.open_gap)[0]
-    ks = opens[lo:hi]
-    g = (psi.n * math.pi / block.root[lo:hi]) * block.products(psi.sigma[opens], lo, hi)
-    other = ks != psi.n
-    g[other] *= psi.sigma[ks[other], None] - block.lam[lo:hi][other]
+    g = _unit_quotients(psi.n, psi.sigma, opens[lo:hi], block.lam[lo:hi],
+                        block.root[lo:hi], block.products(psi.sigma[opens], lo, hi))
     return (1.0 + psi.rho) * g
 
 
@@ -314,7 +339,8 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
     Unknowns are the sigma_k in open gaps k != n (initial guess tau_k) plus
     the prefactor, which the k = n condition fixes after the zero conditions
     converge (they are scale invariant). Collapsed gaps pin sigma_k = tau_k
-    exactly.
+    exactly. The last (polish) evaluation forms no Jacobian; its products
+    give the normalization and the node values psi carries.
     """
     if n < 1 or n > spec.N:
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
@@ -331,22 +357,29 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
     lam = block.lam[rows]
     diag = np.diag_indices(len(unknowns))
 
-    def residuals_and_jac(sig):
+    def evaluate(sig, jac):
         # row a: gap k = unknowns[a]; sigma_j enters g through one linear factor
-        prod = (n * math.pi) * (block.products(sig[opens]) / block.root)[rows]
+        P = block.products(sig[opens])
+        prod = (n * math.pi) * (P / block.root)[rows]
         s = sig[unknowns]
         g = prod * (s[:, None] - lam)
+        r = (np.sum(g, axis=1) / nodes).astype(float)
+        if not jac:
+            return P, r, None
+        # s_j - lam[a] with s_j repeated along the nodes: every operand of
+        # the subtraction and the division is contiguous in the inner loop
+        den = np.repeat(s, nodes).reshape(1, -1, nodes) - lam[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            J = np.sum(g[:, None, :] / (s[None, :, None] - lam[:, None, :]), axis=2)
+            J = np.sum(np.divide(g[:, None, :], den, out=den), axis=2)
         J[diag] = np.sum(prod, axis=1)
-        return (np.sum(g, axis=1) / nodes).astype(float), (J / nodes).astype(float)
+        return P, r, (J / nodes).astype(float)
 
     iterations = 0
     res = {}
     if unknowns:
         polished = False
         for iterations in range(1, max_iter + 1):
-            r, J = residuals_and_jac(sigma)
+            P, r, J = evaluate(sigma, not polished)
             if polished:
                 break
             # once within tol, one more (quadratically convergent) step takes
@@ -359,17 +392,26 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
             cap = 0.45 * spec.gamma[unknowns].astype(float)
             sigma[unknowns] += np.clip(step, -cap, cap).astype(dtype)
         else:
-            r, _ = residuals_and_jac(sigma)
+            _, r, _ = evaluate(sigma, False)
             raise NewtonError(
                 f"psi_{n} conditions not met after {max_iter} iterations; "
                 f"max residual {np.max(np.abs(r)):.3e}")
         res = {k: float(abs(r[a])) for a, k in enumerate(unknowns)}
+    else:
+        P = block.products(sigma[opens])
 
     psi = PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
                       rho=0.0, residuals=res, iterations=iterations, nodes=nodes)
-    c_n = condition_integral(spec, psi, n, nodes)
+    g = _unit_quotients(n, sigma, np.array(opens, dtype=int), block.lam, block.root, P)
+    if spec.open_gap[n]:
+        c_n = float(np.sum(g[opens.index(n)]) / nodes)
+    else:
+        c_n = condition_integral(spec, psi, n, nodes)
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0
     psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
+    psi.node_values = (1.0 + psi.rho) * g
+    psi.node_values.flags.writeable = False
+    psi._node_block = block
     return psi

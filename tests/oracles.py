@@ -279,7 +279,10 @@ def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
             if polished:
                 break
             polished = np.max(np.abs(r)) <= tol
-            step = np.linalg.solve(J, -r)
+            try:
+                step = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonError(f"singular Newton system for psi_{n}") from exc
             cap = 0.45 * spec.gamma[unknowns].astype(float)
             sigma[unknowns] += np.clip(step, -cap, cap).astype(dtype)
         else:
@@ -289,6 +292,8 @@ def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
                         rho=0.0, residuals=res, iterations=iterations, nodes=nodes)
     c_n = (condition_integral_per_gap(spec, psi, n, nodes) if spec.open_gap[n]
            else R.condition_integral(spec, psi, n, nodes))
+    if c_n == 0.0 or not np.isfinite(c_n):
+        raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0
     psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
     return psi

@@ -5,16 +5,19 @@ from one block per spectrum and node count. Built with the bit-identity rule
 (divide by varsigma, an exact unit diagonal factor, ascending m), every value
 equals the per-gap reference in ``oracles`` exactly, not just to rounding.
 Any RuntimeWarning fails: the standard root of a gap at its own nodes (NaN,
-or 0 where rounding puts an end node on the edge) must stay quiet.
+or 0 where rounding puts an end node on the edge) must stay quiet, and the
+block stores 1 there instead.
 """
 import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdvfreq import invariants as inv
+from kdvfreq.hill import _varsigma
 from kdvfreq.potentials import cosine_sum, make_potential, rough_profile, single_mode
-from kdvfreq.roots import psi_solve
+from kdvfreq.roots import gap_contour, psi_quotient_on_gap, psi_solve
 
 from oracles import action_vector_per_gap, moments_per_gap, psi_solve_per_gap
 
@@ -44,7 +47,11 @@ def case(request):
     if request.param == "one_open_gap":
         assert spec.open_indices() == [1]
     if request.param == "rough_f64":
-        assert np.any(spec._gap_nodes(nodes).vs == 0)
+        opens = spec.open_indices()
+        with np.errstate(invalid="ignore"):
+            own = _varsigma(spec.tau[opens][:, None], spec.gamma[opens][:, None],
+                            spec._gap_nodes(nodes).lam)
+        assert np.any(own == 0)
     psis = {n: psi_solve(spec, n, tol=tol, nodes=nodes) for n in range(1, N + 1)}
     return spec, N, tol, nodes, psis
 
@@ -58,6 +65,21 @@ def test_psi_matches_per_gap_bit_for_bit(case):
         assert psi.rho == ref.rho and psi.prefactor == ref.prefactor, n
         assert psi.residuals == ref.residuals, n
         assert psi.iterations == ref.iterations, n
+
+
+def test_psi_node_values_match_per_gap_bit_for_bit(case):
+    spec, N, _, nodes, psis = case
+    for n, psi in psis.items():
+        assert psi.node_values.shape == (len(spec.open_indices()), nodes), n
+        for i, k in enumerate(spec.open_indices()):
+            lam = gap_contour(spec, k, nodes=nodes).lam.astype(spec.tau.dtype)
+            want = psi_quotient_on_gap(spec, psi, k, lam)
+            assert np.array_equal(psi.node_values[i], want), (n, k)
+
+
+def test_block_standard_roots_are_finite(case):
+    spec, _, _, nodes, _ = case
+    assert np.all(np.isfinite(spec._gap_nodes(nodes).vs))
 
 
 @pytest.mark.parametrize("cut", [False, True])
@@ -92,3 +114,35 @@ def test_block_is_built_once_per_node_count():
     d = len(spec.open_indices())
     assert star.vs.shape == (d, d, 96) and star.lam.shape == star.root.shape == (d, 96)
     assert "_blocks" not in repr(spec)
+
+
+@settings(max_examples=12, deadline=None)
+@given(modes=st.lists(st.tuples(st.integers(1, 6), st.floats(1e-4, 0.3),
+                                st.floats(0.0, 2 * np.pi)),
+                      min_size=1, max_size=4, unique_by=lambda m: m[0]),
+       dtype=st.sampled_from([np.float64, np.longdouble]))
+def test_random_potentials_match_per_gap_bit_for_bit(modes, dtype):
+    q = make_potential([(j, a * cmath.exp(1j * th)) for j, a, th in modes])
+    N, tol, nodes = 6, 1e-10 if dtype is np.longdouble else 1e-8, 96
+    spec = inv.spectrum_for(q, N, dtype=dtype)
+    psis = {}
+    for n in range(1, N + 1):
+        try:
+            ref = psi_solve_per_gap(spec, n, tol=tol, nodes=nodes)
+        except Exception as exc:           # the block version fails the same way
+            with pytest.raises(Exception) as info:
+                psi_solve(spec, n, tol=tol, nodes=nodes)
+            assert type(info.value) is type(exc), (n, exc, info.value)
+            continue
+        psis[n] = psi_solve(spec, n, tol=tol, nodes=nodes)
+        assert np.array_equal(psis[n].sigma, ref.sigma, equal_nan=True), n
+        assert (psis[n].rho, psis[n].residuals) == (ref.rho, ref.residuals), n
+    if len(psis) == N:
+        mom = inv.moments(spec, psis, N, nodes=nodes)
+        om2, om4, R = moments_per_gap(spec, psis, N, nodes=nodes)
+        assert np.array_equal(mom.omega2, om2) and np.array_equal(mom.omega4, om4)
+        assert mom.R == R
+    acts = inv.action_vector(spec, nodes=nodes)
+    I, ratio, err = action_vector_per_gap(spec, nodes=nodes)
+    assert np.array_equal(acts.I, I) and np.array_equal(acts.err, err)
+    assert np.array_equal(acts.ratio, ratio, equal_nan=True)

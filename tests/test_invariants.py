@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kdvfreq import invariants as inv
+from kdvfreq.errors import ValidationError
 from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
                                 make_potential, single_mode)
 
@@ -42,6 +43,12 @@ def test_action_vs_rectangle_oracle():
     want, imag = rectangle_action(q, spec, 1)
     assert imag < 1e-8 * max(1.0, abs(want))
     assert acts.I[1] == pytest.approx(want, rel=1e-5)
+
+
+def test_action_vector_rejects_N_past_the_spectrum(pipe_single):
+    _, spec, _, _, _ = pipe_single
+    with pytest.raises(ValidationError):
+        inv.action_vector(spec, N=spec.N + 1)
 
 
 def test_action_nonnegative_and_zero_iff_collapsed():
@@ -152,6 +159,7 @@ def test_sigma_vs_tau_sensitivity():
         lazy[n] = dataclasses.replace(p, sigma=sig)
     mom2 = inv.moments(spec, lazy, 4)
     o1b, _ = inv.freq_kdv(spec, mom2, 1)
+    assert o1 != o1b                      # the moments read the substituted roots
     assert abs(o1 - o1b) <= tail + 1e-10
 
 
