@@ -16,7 +16,7 @@ from kdvfreq import invariants as inv
 q = cosine_sum([(1, 0.2), (2, 0.2)])
 rep = inv.frequency_report(q, 8, dtype=np.longdouble)
 spec, acts, mom = rep.spectrum, rep.actions, rep.moments
-h = inv.hamiltonians(rep)
+h = inv.hamiltonians(spec)
 
 print(f"direct integrals:  H0 = {h.H0:.10f}  H1 = {h.H1:.10f}  H2 = {h.H2:.10f}")
 H0_sum = sum(2 * n * math.pi * acts.I[n] for n in range(1, 9))

@@ -68,8 +68,8 @@ def bnf_predict(I, c: float, which: str, nmax: int | None = None):
     second-order frequency prediction for 1 <= n <= nmax.
     """
     Iv = _action_array(I)
-    if np.any(Iv < -1e-14):
-        raise ValidationError("actions must be nonnegative")
+    if not np.all(np.isfinite(Iv)) or np.any(Iv < -1e-14):
+        raise ValidationError("actions must be finite and nonnegative")
     N = Iv.size - 1
     nmax = N if nmax is None else max(nmax, N)
     ns = np.arange(0, N + 1, dtype=float)
@@ -185,8 +185,7 @@ class ResonanceVector:
     k_Z: tuple          # pairs (index, value)
 
 
-def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
-                   freq_source=None) -> list[ResonanceVector]:
+def resonance_scan(A, c=0, kmax: int = 6, window: int = 40) -> list[ResonanceVector]:
     """Enumerate k = k_A + k_Z with |k_A|_inf <= kmax and |k_Z| <= 2 supported
     in 1..window, and report every k failing BOTH nondegeneracy conditions
     (k.lambda != 0 or (Ck)_A != 0) at mean value c.
@@ -195,7 +194,6 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
     + 60 c^2 S1) vanishes iff S5 = 0 and (c = 0 or S3 = S1 = 0); the i-th
     component of (Ck)_A vanishes iff (c = 0 or k_i = 0) and S1 = i k_i.
     Every representable c is rational, so the lattice separation is exact.
-    An optional freq_source(n) -> omega_n only annotates the report.
     """
     A = sorted(int(a) for a in A)
     if kmax < 0 or window < 0:
@@ -230,13 +228,6 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40,
                           for k, i in zip(kA, A))
             if ck_zero:
                 offenders.append(ResonanceVector(tuple(kA), tuple(kz)))
-    if freq_source is not None:
-        for off in offenders:
-            val = sum(k * freq_source(i) for k, i in zip(off.k_A, A))
-            val += sum(v * freq_source(j) for j, v in off.k_Z)
-            if abs(val) > 1e-6:
-                raise NumericalError(
-                    "exact scan and the supplied frequency source disagree")
     return offenders
 
 

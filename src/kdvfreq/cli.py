@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ def _fmt(x) -> str:
 
 
 def _json_float(v: float) -> str:
-    return "null" if v != v else format(v, ".17g")
+    return format(v, ".17g") if math.isfinite(v) else "null"    # JSON has no nan, inf
 
 
 def _dump_json(obj) -> str:
@@ -88,6 +89,13 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):        # argparse reports it and exits 2
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
 # Flags shared by several subcommands; each subcommand declares only the
 # ones its handler reads.
 _SHARED = {
@@ -97,7 +105,7 @@ _SHARED = {
     "nodes": dict(type=int, default=96),
     "format": dict(choices=("json", "csv"), default="json"),
     "longdouble": dict(action="store_true", help="extended-precision spectral solves"),
-    "c": dict(type=float, default=0.0),
+    "c": dict(type=_finite, default=0.0),
 }
 
 
@@ -164,9 +172,8 @@ def _cmd_freq(args):
 
 def _cmd_hamiltonians(args):
     u = _spectral_potential(args)
-    rep = invariants.frequency_report(u, args.N, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args))
-    h = invariants.hamiltonians(rep)
+    spec = invariants.spectrum_for(u.drop_mean(), args.N, dtype=_dtype(args))
+    h = invariants.hamiltonians(spec, nodes=args.nodes)
     obj = {"H0": h.H0, "H1": h.H1, "H2": h.H2,
            "H1_star": h.H1_star, "H1_star_subtraction": h.H1_star_subtraction,
            "H2_star": h.H2_star, "H2_star_subtraction": h.H2_star_subtraction,
@@ -273,10 +280,12 @@ def _cmd_crosscheck(args):
     n = int(args.n)
     if n < 1:
         raise ValidationError(f"gap indices start at 1, got {n}")
-    rep = invariants.frequency_report(q, max(n, 2), K=args.K, nodes=args.nodes,
+    if args.T is not None and args.T <= 0:
+        raise ValidationError("--T must be positive")
+    rep = invariants.frequency_report(q, n, K=args.K, nodes=args.nodes,
                                       dtype=_dtype(args))
     om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
-    T = args.T if args.T else (0.05 if args.eq == "kdv" else 0.002)
+    T = args.T if args.T is not None else (0.05 if args.eq == "kdv" else 0.002)
     traj = pde.evolve(q, T, args.eq)
     om_pde, resid = pde.measure_mode_frequency(traj, n)
     rel = abs(om_pde - om_formula) / abs(om_formula)
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-moments", action="store_true")
 
     command("hamiltonians", _cmd_hamiltonians, "direct and renormalized Hamiltonians",
-            *spectral, "K", "nodes")
+            *spectral, "nodes")
 
     p = command("bnf", _cmd_bnf, "normal-form prediction", "N", "c")
     p.add_argument("--I", default="", help="comma list I_1,I_2,...")
@@ -329,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("flow-exp", _cmd_flow_exp, "non-uniform-continuity experiment")
     p.add_argument("--which", choices=("kdv", "kdv2-hs", "kdv2-level"), default="kdv")
-    p.add_argument("--sigma", type=float, default=0.125)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--sigma", type=_finite, default=0.125)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--delta", type=_finite, default=0.5)
     p.add_argument("--m", default="1..40")
 
     p = command("evolve", _cmd_evolve, "pseudo-spectral time integration", "potential")
     p.add_argument("--eq", choices=("airy", "kdv", "kdv2"), default="kdv")
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--T", type=_finite, required=True)
+    p.add_argument("--dt", type=_finite, default=None)
     p.add_argument("--Mgrid", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
 
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "potential", "longdouble", "K", "nodes")
     p.add_argument("--eq", choices=("kdv", "kdv2"), default="kdv")
     p.add_argument("--n", required=True)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--T", type=_finite, default=None)
 
     return ap
 

@@ -320,7 +320,7 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     eps = float(np.finfo(dtype).eps)
     ode_tol = 1e-16 if eps < 1e-17 else 1e-13
     K = N + 8 * q.degree + 16
-    qnorm = q.sup_norm_bound - abs(q.mean)
+    qnorm = q.abs_coeff_sum() - abs(q.mean)
 
     lam_minus = np.full(N + 1, np.nan, dtype=dtype)
     lam_plus = np.full(N + 1, np.nan, dtype=dtype)

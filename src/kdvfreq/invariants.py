@@ -161,8 +161,7 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
     Fv = _F_table(spec, nodes)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
-    R = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
-    opens = [k for k in spec.open_indices() if k <= K]
+    opens = spec.open_indices(K)
     F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), nodes)
     F2 = F ** 2
     w = 2.0 * math.pi / nodes
@@ -171,13 +170,22 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
                        dtype=float)
         om2[n, opens] = w * np.sum(F2 * g, axis=1)
         om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
+    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, K, Fv, nodes),
+                       N=N, K=K, nodes=nodes)
+
+
+def _r_moments(spec: HillSpectrum, K: int, Fv: dict, nodes: int) -> dict:
+    """R_k^(m) = -(gamma_k / nodes) sum_t F_k(t)^m sqrt(1 - t^2) for m = 1,
+    3, 5 and k <= K, from the F table Fv; exactly 0 on a collapsed gap."""
+    R = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
     t = cheb_nodes(nodes)
     root_w = np.sqrt(1.0 - t * t)
-    for k, Fk in zip(opens, F):
+    for k in spec.open_indices(K):
+        Fk = np.asarray(Fv[k], dtype=float)
         gk = float(spec.gamma[k])
         for m in (1, 3, 5):
             R[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
-    return MomentTable(omega2=om2, omega4=om4, R=R, N=N, K=K, nodes=nodes)
+    return R
 
 
 def omega0_table(spec: HillSpectrum, psis: dict[int, PsiFunction],
@@ -291,7 +299,7 @@ def frequency_report(u: Potential, N: int, K: int | None = None, nodes: int = 96
 
 @dataclass
 class HamiltonianValues:
-    """Direct integrals and renormalized values from the moment sums."""
+    """Direct integrals and the renormalized values by both routes."""
 
     H0: float
     H1: float
@@ -305,11 +313,15 @@ class HamiltonianValues:
     flagged: bool
 
 
-def hamiltonians(rep: FrequencyReport) -> HamiltonianValues:
-    """H0, H1, H2 of the zero-mean part of the report's potential by
-    4096-point trapezoid (spectrally exact here) plus the renormalized H1*,
-    H2* by both the moment and the subtraction route."""
-    spec, acts, mom = rep.spectrum, rep.actions, rep.moments
+def hamiltonians(spec: HillSpectrum, nodes: int = 96) -> HamiltonianValues:
+    """H0, H1, H2 of the spectrum's potential by 4096-point trapezoid
+    (spectrally exact here) plus the renormalized H1*, H2* by the moment
+    route (R_k^(3), R_k^(5)) and the subtraction route (the actions), both
+    over every gap k <= spec.N: no psi and no Omega moment is needed."""
+    if spec.potential.mean != 0:     # the routes hold for q = u - mean only
+        raise ValidationError("hamiltonians needs the spectrum of a zero-mean potential")
+    acts = action_vector(spec, nodes=nodes)
+    R = _r_moments(spec, spec.N, _F_table(spec, nodes), nodes)
     q = spec.potential
     grid = np.arange(4096) / 4096.0
     u = evaluate(q, grid)
@@ -324,10 +336,10 @@ def hamiltonians(rep: FrequencyReport) -> HamiltonianValues:
     H2_sub = H2 - float(np.sum(w ** 5 * acts.I)) - 10.0 * H0 * H0
     H1_mom = 0.0
     H2_mom = 0.0
-    for k in range(1, mom.K + 1):
+    for k in range(1, spec.N + 1):
         wk = 2.0 * k * math.pi
-        H1_mom += -4.0 * wk * mom.R[(k, 3)]
-        H2_mom += -(40.0 / 3.0) * wk ** 3 * mom.R[(k, 3)] + 16.0 * wk * mom.R[(k, 5)]
+        H1_mom += -4.0 * wk * R[(k, 3)]
+        H2_mom += -(40.0 / 3.0) * wk ** 3 * R[(k, 3)] + 16.0 * wk * R[(k, 5)]
     gap1 = abs(H1_mom - H1_sub)
     gap2 = abs(H2_mom - H2_sub)
     # combined error estimate: quadrature flags plus gamma accuracy of each action

@@ -6,7 +6,7 @@ u_n = <q, e^{i 2n pi x}> plus the mean u_0; reality fixes u_{-n} = conj(u_n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +34,10 @@ class Potential:
     modes: tuple[int, ...]
     coeffs: tuple[complex, ...]
     mean: float = 0.0
-    _sup: float = field(init=False, default=0.0, repr=False, compare=False)
-
-    def __post_init__(self):
-        # crude but safe sup-norm bound used for spectral search windows
-        object.__setattr__(
-            self, "_sup", abs(self.mean) + 2.0 * sum(abs(c) for c in self.coeffs)
-        )
 
     @property
     def degree(self) -> int:
         return max(self.modes) if self.modes else 0
-
-    @property
-    def sup_norm_bound(self) -> float:
-        return self._sup
 
     def coeff(self, n: int) -> complex:
         """Fourier coefficient u_n for any integer n (u_0 = mean)."""
@@ -64,11 +53,8 @@ class Potential:
         return Potential(self.modes, self.coeffs, 0.0)
 
     def abs_coeff_sum(self) -> float:
+        """|u_0| + 2 sum_n |u_n|, a bound on sup |q|."""
         return abs(self.mean) + 2.0 * sum(abs(c) for c in self.coeffs)
-
-    def key(self):
-        """Hashable fingerprint for caches."""
-        return (self.modes, self.coeffs, self.mean)
 
 
 def make_potential(pairs, mean: float = 0.0) -> Potential:

@@ -104,7 +104,7 @@ def test_criterion_06_one_smoothing():
 def test_criterion_07_H2_star_identity(pipe_two_02_ld):
     rep = pipe_two_02_ld
     spec, mom, acts = rep.spectrum, rep.moments, rep.actions
-    h = inv.hamiltonians(rep)
+    h = inv.hamiltonians(spec)
     rel = abs(h.H2_star - h.H2_star_subtraction) / abs(h.H2_star)
     sharp = [n for n in spec.open_indices() if spec.gamma_rel_err[n] <= 5e-7]
     worst_sharp = max(abs(mom.R[(n, 1)] - acts.I[n]) / acts.I[n] for n in sharp)

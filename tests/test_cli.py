@@ -84,6 +84,20 @@ def test_dump_moments_come_from_the_report_psi_family(capsys, tmp_path, monkeypa
     assert sorted(solved) == [1, 2]
 
 
+def test_hamiltonians_solve_no_psi(capsys, pot_file, monkeypatch):
+    from kdvfreq import roots
+    solved = []
+    for mod in (invariants, roots):
+        def spy(spec, n, _solve=mod.psi_solve, **kwargs):
+            solved.append(n)
+            return _solve(spec, n, **kwargs)
+        monkeypatch.setattr(mod, "psi_solve", spy)
+    code, out = run(capsys, ["hamiltonians", "--potential", pot_file, "--N", "8"])
+    assert code == 0
+    assert json.loads(out)["H1_star"] != 0
+    assert solved == []
+
+
 def test_actions_command(capsys, pot_file):
     code, out = run(capsys, ["actions", "--potential", pot_file, "--N", "2",
                              "--format", "csv"])
@@ -146,6 +160,11 @@ def test_trajectory_lines_match_dump_json():
     assert _trajectory_lines(times, states) == want
     assert "null" in want
 
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    for line in want.splitlines():
+        json.loads(line, parse_constant=refuse)
+
 
 def test_crosscheck_report(capsys, pot_file):
     code, out = run(capsys, ["crosscheck", "--potential", pot_file, "--eq", "kdv",
@@ -194,12 +213,18 @@ BAD_POTENTIALS = {
     ["freq", "--n", "0..2"],
     ["crosscheck", "--n", "-1"],
     ["freq", "--n", "1..2", "--K", "0"],
-    ["hamiltonians", "--N", "2", "--K", "-1"],
     ["actions", "--N", "0"],
     ["freq", "--n", "1..2", "--N", "0"],
     ["hamiltonians", "--N", "0"],
     ["resonance", "--A", "0,3", "--Kmax", "1", "--window", "4"],
     ["resonance", "--A=-1,2"],
+    ["bnf", "--c", "inf"],
+    ["bnf", "--I", "inf"],
+    ["resonance", "--c", "inf", "--A", "1,2", "--Kmax", "1", "--window", "4"],
+    ["evolve", "--eq", "airy", "--T", "inf"],
+    ["flow-exp", "--t", "inf"],
+    ["crosscheck", "--n", "1", "--T", "0"],
+    ["crosscheck", "--n", "1", "--T", "-1"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):
@@ -227,6 +252,8 @@ def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     ["freq", "--n", "1..2", "--jobs", "-3"],
     ["freq", "--n", "1..2", "--M", "40"],
     ["hamiltonians", "--N", "2", "--M", "40"],
+    ["hamiltonians", "--N", "2", "--K", "-1"],
+    ["hamiltonians", "--K", "6"],
 ])
 def test_ignored_flag_exit_2(capsys, pot_file, argv):
     if argv[0] in READS_POTENTIAL:

@@ -165,7 +165,7 @@ def test_sigma_vs_tau_sensitivity():
 
 def test_hamiltonian_direct_values():
     q = single_mode(1, 0.1)
-    h = inv.hamiltonians(inv.frequency_report(q, 4))
+    h = inv.hamiltonians(inv.frequency_report(q, 4).spectrum)
     # q = 0.2 cos(2 pi x): H0 = 0.01, H1 = (2 pi)^2 * 0.01 (cubic integrates to 0)
     assert h.H0 == pytest.approx(0.01, rel=1e-12)
     assert h.H1 == pytest.approx((2 * math.pi) ** 2 * 0.01, rel=1e-12)
@@ -179,11 +179,25 @@ def test_hamiltonian_routes_agree_on_a_gap_below_the_shooting_floor():
                         (2, 0.06950042792189133 - 0.03401630657417024j),
                         (3, -0.0015978232395252579 + 0.0697299482861864j)])
     rep = inv.frequency_report(u, 8)
-    h = inv.hamiltonians(rep)
+    h = inv.hamiltonians(rep.spectrum)
     assert rep.spectrum.open_gap[4]
     assert not h.flagged
     assert h.route_gap_H1 <= 1e-11 * h.H1
     assert h.route_gap_H2 <= 1e-11 * h.H2
+
+
+def test_hamiltonians_moment_route_is_the_report_R_sum():
+    rep = inv.frequency_report(cosine_sum([(1, 0.1), (2, 0.05)]), 6)
+    h = inv.hamiltonians(rep.spectrum)
+    R = rep.moments.R
+    H1 = H2 = 0.0
+    for k in range(1, rep.spectrum.N + 1):
+        wk = 2.0 * k * math.pi
+        H1 += -4.0 * wk * R[(k, 3)]
+        H2 += -(40.0 / 3.0) * wk ** 3 * R[(k, 3)] + 16.0 * wk * R[(k, 5)]
+    assert H1 != 0 and H2 != 0
+    assert h.H1_star == H1
+    assert h.H2_star == H2
 
 
 def test_H0_action_identity():
@@ -200,7 +214,7 @@ def test_H0_action_identity():
 def test_hamiltonians_of_the_zero_mean_part():
     # the report removes the mean, so H of u is the direct H of u - 0.2
     u = cosine_sum([(1, 0.1)], mean=0.2)
-    h = inv.hamiltonians(inv.frequency_report(u, 4))
+    h = inv.hamiltonians(inv.frequency_report(u, 4).spectrum)
     x = np.arange(4096) / 4096.0
     q = evaluate(u, x) - 0.2
     qx = evaluate_derivative(u, x, 1)
@@ -209,6 +223,8 @@ def test_hamiltonians_of_the_zero_mean_part():
     assert h.H1 == pytest.approx(0.5 * np.mean(qx ** 2 + 2 * q ** 3), rel=1e-12)
     assert h.H2 == pytest.approx(
         0.5 * np.mean(qxx ** 2 + 10 * q * qx ** 2 + 5 * q ** 4), rel=1e-12)
+    with pytest.raises(ValidationError):
+        inv.hamiltonians(inv.spectrum_for(u, 4))
 
 
 def test_freq_zero_potential_tail_zero():

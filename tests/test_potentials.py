@@ -85,7 +85,7 @@ def test_derivative_exact():
 def test_json_roundtrip():
     q = cosine_sum([(1, 0.1), (4, 0.02)], mean=0.5)
     q2 = potential_from_json(potential_to_json(q))
-    assert q2.key() == q.key()
+    assert q2 == q
 
 
 def test_json_schema_fields():
