@@ -341,6 +341,9 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
             A0, bnd0 = _ritz(H, V, ev, np.zeros((1, 1), dtype=int), top, qnorm, eps)
             lam_plus[0] = A0[0, 0, 0]
             bound[0] = bnd0[0]
+    if not all(np.all(np.isfinite(a)) for a in (bound, tau[1:], gamma, lam_plus[:1])):
+        raise NumericalError("Ritz edges or bounds are not finite: the potential "
+                             "is too large for the dtype")
 
     floor = np.maximum(3.0 * bound, 1e-9)
     floor[0] = np.nan

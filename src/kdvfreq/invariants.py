@@ -7,6 +7,7 @@ accounting for gaps hidden below the detection floor.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -367,13 +368,33 @@ class JacobianResult:
     negative_definite: bool
 
 
+@functools.lru_cache(maxsize=128)
+def _family_point(u: Potential, N: int):
+    """Read-only copies of I, omega1* and omega2* of ``frequency_report(u, N)``.
+
+    One report holds both frequencies, so the KdV and the KdV2 Jacobian of
+    one family share one report per member. Only these three (N+1)-arrays
+    are kept, not the report with its node block. One Jacobian makes 2|A| + 1
+    reports, so the 128 entries cover a kdv then kdv2 pair up to |A| = 63;
+    past that the LRU order misses every point, which is correct but
+    reuses nothing."""
+    rep = frequency_report(u, N)
+    out = tuple(np.array(a, dtype=float)
+                for a in (rep.actions.I, rep.omega1_star, rep.omega2_star))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
                        base_eps: float = 0.05, N: int | None = None) -> JacobianResult:
     """Finite-difference Jacobian d omega*/d I over the index set A.
 
     The default family drives each gap in A by an independent cosine mode of
     amplitude eps_j around base_eps; central differences in every direction
-    give dI and d omega*, and the Jacobian is their quotient matrix.
+    give dI and d omega*, and the Jacobian is their quotient matrix. The
+    points come from ``_family_point``, so the kdv and the kdv2 Jacobian of
+    one family (same A, h, base_eps, N) make each report once.
     """
     A = tuple(int(a) for a in A)
     d = len(A)
@@ -386,11 +407,9 @@ def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
     N = N if N is not None else max(A) + 2
 
     def measure(eps):
-        rep = frequency_report(family(eps), N)
+        I, om1, om2 = _family_point(family(eps), N)
         idx = list(A)
-        I = rep.actions.I[idx]
-        om = rep.omega1_star[idx] if which == "kdv" else rep.omega2_star[idx]
-        return np.asarray(I, dtype=float), np.asarray(om, dtype=float)
+        return I[idx], (om1 if which == "kdv" else om2)[idx]
 
     dI = np.zeros((d, d))
     dw = np.zeros((d, d))

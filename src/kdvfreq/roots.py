@@ -21,6 +21,7 @@ that the returned psi carries and ``invariants.moments`` reads.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -208,16 +209,27 @@ def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarra
     if not ks.size:
         return {}
     dtype = spec.tau.dtype.type
-    pi = _LPI if dtype == np.longdouble else np.pi
-    theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
+    theta, m, cos_mt, sin_mt = _fourier_tables(nodes, dtype)
     block = _build_gap_nodes(spec.tau[ks], spec.gamma[ks], spec.lam0, np.cos(theta))
     prod = block.products(spec.lambda_dot[ks]) / block.root
     f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
-    m = np.arange(1, nodes, dtype=dtype)
-    mt = np.multiply.outer(m, theta)                    # (modes, nodes)
-    a = (f @ np.cos(mt).T) * (dtype(2) / nodes)         # cosine coefficients
-    F = (a / m) @ np.sin(mt)
+    a = (f @ cos_mt.T) * (dtype(2) / nodes)             # cosine coefficients
+    F = (a / m) @ sin_mt
     return {int(k): F[i] for i, k in enumerate(ks)}
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_tables(nodes: int, dtype):
+    """theta (nodes,), the modes m = 1..nodes-1 and cos(m theta), sin(m theta)
+    (modes, nodes) of ``gap_F_integrated`` in the given dtype, read-only."""
+    pi = _LPI if dtype == np.longdouble else np.pi
+    theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
+    m = np.arange(1, nodes, dtype=dtype)
+    mt = np.multiply.outer(m, theta)
+    out = (theta, m, np.cos(mt), np.sin(mt))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,21 @@ def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "2"],
+    ["actions", "--N", "2"],
+    ["freq", "--n", "1"],
+    ["hamiltonians"],
+])
+def test_overflowing_potential_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text('{"mean": 0.0, "modes": [{"n": 1, "re": 1e200, "im": 0.0}]}')
+    code = main(argv + ["--potential", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["resonance", "--longdouble"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--format", "csv"],
     ["bnf", "--jobs", "7"],

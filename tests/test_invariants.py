@@ -260,3 +260,50 @@ def test_kdv2_renormalized_decay_monitor(report_four):
     assert all(np.isfinite(v) for v in vals)
     # beyond the driven gaps the sequence stays below its n <= 4 peak
     assert max(vals[4:]) <= max(vals[:4])
+
+
+MEMO_JAC = dict(A=(1, 2), h=0.01, base_eps=0.07, N=4)
+
+
+def test_kdv2_jacobian_after_kdv_makes_no_report(monkeypatch):
+    made = []
+    report = inv.frequency_report
+
+    def spy(u, N, **kwargs):
+        made.append(u)
+        return report(u, N, **kwargs)
+
+    monkeypatch.setattr(inv, "frequency_report", spy)
+    inv._family_point.cache_clear()
+    inv.frequency_jacobian(which="kdv", **MEMO_JAC)
+    assert len(made) == 2 * len(MEMO_JAC["A"]) + 1
+    inv.frequency_jacobian(which="kdv2", **MEMO_JAC)
+    assert len(made) == 2 * len(MEMO_JAC["A"]) + 1
+
+
+def test_cold_kdv2_jacobian_equals_warm():
+    inv.frequency_jacobian(which="kdv", **MEMO_JAC)
+    warm = inv.frequency_jacobian(which="kdv2", **MEMO_JAC)
+    inv._family_point.cache_clear()
+    cold = inv.frequency_jacobian(which="kdv2", **MEMO_JAC)
+    for a, b in ((warm.jac, cold.jac), (warm.sym_eigs, cold.sym_eigs),
+                 (warm.I_base, cold.I_base)):
+        assert np.array_equal(a, b)
+
+
+def test_family_memo_misses_on_N_and_on_one_coefficient():
+    q = cosine_sum([(1, 0.07), (2, 0.05)])
+    inv._family_point.cache_clear()
+    inv._family_point(q, 4)
+    inv._family_point(q, 5)
+    inv._family_point(cosine_sum([(1, 0.07), (2, 0.0500001)]), 4)
+    assert inv._family_point.cache_info().misses == 3
+    inv._family_point(q, 4)
+    assert inv._family_point.cache_info().hits == 1
+
+
+def test_family_memo_arrays_are_read_only():
+    for a in inv._family_point(cosine_sum([(1, 0.07)]), 4):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1] = 0.0
