@@ -124,7 +124,7 @@ def _det_scale(c: float, A) -> float:
     return math.prod(D)
 
 
-def singular_set(A, width: float | None = None, tol: float = 1e-10) -> list[float]:
+def singular_set(A) -> list[float]:
     """Mean values c at which det C_A^(2) vanishes, sorted increasing.
 
     Singletons give {0}; for |A| >= 2 there is one root between consecutive
@@ -152,7 +152,7 @@ def singular_set(A, width: float | None = None, tol: float = 1e-10) -> list[floa
                 hi = mid
             else:
                 lo, glo = mid, gm
-            if hi - lo < tol * max(1.0, abs(mid)):
+            if hi - lo < 1e-10 * max(1.0, abs(mid)):
                 break
         return 0.5 * (lo + hi)
 
@@ -161,7 +161,7 @@ def singular_set(A, width: float | None = None, tol: float = 1e-10) -> list[floa
     for lo_p, hi_p in zip(poles[:-1], poles[1:]):
         pad = 1e-9 * (hi_p - lo_p)
         roots.append(bisect(lo_p + pad, hi_p - pad))
-    hi = width if width else 10.0 * abs(poles[0])
+    hi = 10.0 * abs(poles[0])
     while g(hi) > 0:
         hi *= 2.0
         if hi > 1e18:

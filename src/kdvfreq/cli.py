@@ -101,8 +101,6 @@ def _finite(text: str) -> float:
 _SHARED = {
     "potential": dict(required=True, help="potential JSON file"),
     "N": dict(type=int, default=8),
-    "K": dict(type=int, default=None),
-    "nodes": dict(type=int, default=96),
     "format": dict(choices=("json", "csv"), default="json"),
     "longdouble": dict(action="store_true", help="extended-precision spectral solves"),
     "c": dict(type=_finite, default=0.0),
@@ -131,7 +129,7 @@ def _cmd_spectrum(args):
 def _cmd_actions(args):
     q = _spectral_potential(args)
     spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args))
-    acts = invariants.action_vector(spec, N=args.N, nodes=args.nodes)
+    acts = invariants.action_vector(spec, N=args.N)
     rows = [(n, acts.I[n], acts.ratio[n], acts.err[n])
             for n in range(1, args.N + 1)]
     if args.format == "json":
@@ -150,8 +148,7 @@ def _cmd_freq(args):
     if min(ns) < 1:
         raise ValidationError(f"gap indices start at 1, got {min(ns)}")
     N = max(ns)
-    rep = invariants.frequency_report(q, N, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args))
+    rep = invariants.frequency_report(q, N, dtype=_dtype(args))
     rows = [(n, rep.actions.I[n], rep.omega1[n], rep.omega1_star[n],
              rep.omega2[n], rep.omega2_star[n],
              max(rep.tail1[n], rep.tail2[n])) for n in ns]
@@ -173,7 +170,7 @@ def _cmd_freq(args):
 def _cmd_hamiltonians(args):
     u = _spectral_potential(args)
     spec = invariants.spectrum_for(u.drop_mean(), args.N, dtype=_dtype(args))
-    h = invariants.hamiltonians(spec, nodes=args.nodes)
+    h = invariants.hamiltonians(spec)
     obj = {"H0": h.H0, "H1": h.H1, "H2": h.H2,
            "H1_star": h.H1_star, "H1_star_subtraction": h.H1_star_subtraction,
            "H2_star": h.H2_star, "H2_star_subtraction": h.H2_star_subtraction,
@@ -282,8 +279,7 @@ def _cmd_crosscheck(args):
         raise ValidationError(f"gap indices start at 1, got {n}")
     if args.T is not None and args.T <= 0:
         raise ValidationError("--T must be positive")
-    rep = invariants.frequency_report(q, n, K=args.K, nodes=args.nodes,
-                                      dtype=_dtype(args))
+    rep = invariants.frequency_report(q, n, dtype=_dtype(args))
     om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
     T = args.T if args.T is not None else (0.05 if args.eq == "kdv" else 0.002)
     traj = pde.evolve(q, T, args.eq)
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def command(name, func, help, *shared):
-        # no prefix matching: `actions --n 3` must not quietly set --nodes
+        # no prefix matching: `freq --n 1 --dump` must not quietly set --dump-moments
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         for flag in shared:
             p.add_argument("--" + flag, **_SHARED[flag])
@@ -313,15 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     spectral = ("potential", "N", "longdouble")
     command("spectrum", _cmd_spectrum, "periodic/Dirichlet/critical spectra",
             *spectral, "format")
-    command("actions", _cmd_actions, "action variables", *spectral, "nodes", "format")
+    command("actions", _cmd_actions, "action variables", *spectral, "format")
 
     p = command("freq", _cmd_freq, "frequency tables (moment route)",
-                *spectral, "K", "nodes", "format")
+                *spectral, "format")
     p.add_argument("--n", default=None, help="index range like 1..8")
     p.add_argument("--dump-moments", action="store_true")
 
     command("hamiltonians", _cmd_hamiltonians, "direct and renormalized Hamiltonians",
-            *spectral, "nodes")
+            *spectral)
 
     p = command("bnf", _cmd_bnf, "normal-form prediction", "N", "c")
     p.add_argument("--I", default="", help="comma list I_1,I_2,...")
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=None)
 
     p = command("crosscheck", _cmd_crosscheck, "moment-route vs PDE-route frequency",
-                "potential", "longdouble", "K", "nodes")
+                "potential", "longdouble")
     p.add_argument("--eq", choices=("kdv", "kdv2"), default="kdv")
     p.add_argument("--n", required=True)
     p.add_argument("--T", type=_finite, default=None)

@@ -86,36 +86,34 @@ def flow_map(state: BirkhoffState, t: float, freq) -> BirkhoffState:
     return BirkhoffState(out)
 
 
-def kdv_star_frequencies(r=None):
-    """omega*_n(z) = -6 I_n + r_n(z); r defaults to 0 (pure-model mode)."""
+def kdv_star_frequencies():
+    """omega*_n(z) = -6 I_n (the pure model)."""
     def freq(state):
         out = {}
         for n in state.support():
-            out[n] = -6.0 * state.action(n) + (r(state, n) if r else 0.0)
+            out[n] = -6.0 * state.action(n)
         return out
     return freq
 
 
-def kdv_full_frequencies(r=None):
-    """omega_n(z) = (2 n pi)^3 - 6 I_n + r_n(z) (small supports only)."""
+def kdv_full_frequencies():
+    """omega_n(z) = (2 n pi)^3 - 6 I_n (small supports only)."""
     def freq(state):
         out = {}
         for n in state.support():
-            out[n] = (2.0 * n * math.pi) ** 3 - 6.0 * state.action(n) \
-                + (r(state, n) if r else 0.0)
+            out[n] = (2.0 * n * math.pi) ** 3 - 6.0 * state.action(n)
         return out
     return freq
 
 
-def kdv2_star_frequencies(r=None):
-    """omega*_n(z) = 40 n pi H0(z) - 80 n^2 pi^2 I_n + r_n(z)."""
+def kdv2_star_frequencies():
+    """omega*_n(z) = 40 n pi H0(z) - 80 n^2 pi^2 I_n (the pure model)."""
     def freq(state):
         H0 = state.H0()
         out = {}
         for n in state.support():
             out[n] = 40.0 * n * math.pi * H0 \
-                - 80.0 * n * n * math.pi ** 2 * state.action(n) \
-                + (r(state, n) if r else 0.0)
+                - 80.0 * n * n * math.pi ** 2 * state.action(n)
         return out
     return freq
 
@@ -132,15 +130,8 @@ class DivergenceRow:
     verdict: str
 
 
-def _merge(base: BirkhoffState | None, extra: dict) -> BirkhoffState:
-    z = dict(base.z) if base is not None else {}
-    z.update(extra)
-    return BirkhoffState(z)
-
-
-def kdv_continuity_experiment(sigma: float, t: float, delta: float, ms,
-                              base: BirkhoffState | None = None,
-                              r=None) -> tuple[list[DivergenceRow], float]:
+def kdv_continuity_experiment(sigma: float, t: float, delta: float,
+                              ms) -> tuple[list[DivergenceRow], float]:
     """Two nearby data families whose evolutions stay apart, KdV model.
 
     At stage m the pair differs at modes +-2^m: p carries delta * n^sigma,
@@ -157,15 +148,15 @@ def kdv_continuity_experiment(sigma: float, t: float, delta: float, ms,
         return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical") for m in ms], 0.0)
     k = max(1, math.ceil(math.pi / (6.0 * t * delta * delta)))
     delta_used = math.sqrt(math.pi / (6.0 * t * k))
-    freq = kdv_star_frequencies(r)
+    freq = kdv_star_frequencies()
     rows = []
     for m in ms:
         m = int(m)
         nm = 2 ** m
         a = delta_used * float(nm) ** sigma
-        p = _merge(base, {nm: a, -nm: a})
-        q = _merge(base, {nm: complex(a, delta_used * math.sqrt(m)),
-                          -nm: complex(a, -delta_used * math.sqrt(m))})
+        p = BirkhoffState({nm: a, -nm: a})
+        q = BirkhoffState({nm: complex(a, delta_used * math.sqrt(m)),
+                           -nm: complex(a, -delta_used * math.sqrt(m))})
         inp = p.diff_norm(q, -sigma)
         out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), -sigma)
         designated = (m % (2 * k) == k)
@@ -176,9 +167,7 @@ def kdv_continuity_experiment(sigma: float, t: float, delta: float, ms,
 
 def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
                                delta: float, ms, N: int = 1,
-                               epsilon: float = 1.0,
-                               base: BirkhoffState | None = None,
-                               r=None):
+                               epsilon: float = 1.0):
     """KdV2 divergence constructions.
 
     variant='hs' (sigma >= 1): the pair differs at the fixed mode N, whose
@@ -192,7 +181,7 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
         raise ValidationError("t must be positive")
     if variant not in ("hs", "level-set"):
         raise ValidationError("variant must be 'hs' or 'level-set'")
-    freq = kdv2_star_frequencies(r)
+    freq = kdv2_star_frequencies()
     rows = []
     if variant == "hs":
         if sigma < 1.0:
@@ -208,8 +197,8 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
             nm = 2 ** m
             tail = delta_used * float(nm) ** (-sigma)
             pN = delta_used * math.sqrt(m) / math.sqrt(float(nm))
-            p = _merge(base, {N: pN, -N: pN, nm: tail, -nm: tail})
-            q = _merge(base, {N: 0.0, -N: 0.0, nm: tail, -nm: tail})
+            p = BirkhoffState({N: pN, -N: pN, nm: tail, -nm: tail})
+            q = BirkhoffState({N: 0.0, -N: 0.0, nm: tail, -nm: tail})
             inp = p.diff_norm(q, sigma)
             out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), sigma)
             designated = (m % (2 * k) == k)
@@ -240,8 +229,8 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
         qN = eps * math.sqrt(rad_q)
         a = delta_used * eps * float(nm) ** (-sigma)
         b = delta_used * eps * math.sqrt(m) / float(nm)
-        p = _merge(base, {N: pN, -N: pN, nm: a, -nm: a})
-        q = _merge(base, {N: qN, -N: qN, nm: complex(a, b), -nm: complex(a, -b)})
+        p = BirkhoffState({N: pN, -N: pN, nm: a, -nm: a})
+        q = BirkhoffState({N: qN, -N: qN, nm: complex(a, b), -nm: complex(a, -b)})
         if abs(p.H0() - q.H0()) > 1e-12 * max(1.0, abs(p.H0())):
             raise ValidationError("level-set construction failed to conserve H0")
         inp = p.diff_norm(q, sigma)

@@ -38,9 +38,8 @@ def spectrum_for(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     raise NumericalError("open gaps do not terminate below the truncation")
 
 
-def psi_for(spec: HillSpectrum, n: int, tol: float = 1e-8,
-            nodes: int = 96) -> PsiFunction:
-    return psi_solve(spec, n, tol=tol, nodes=nodes)
+def psi_for(spec: HillSpectrum, n: int, tol: float = 1e-8) -> PsiFunction:
+    return psi_solve(spec, n, tol=tol)
 
 
 def _F_table(spec: HillSpectrum, nodes: int) -> dict[int, np.ndarray]:
@@ -133,7 +132,8 @@ def action_vector(spec: HillSpectrum, N: int | None = None,
 @dataclass
 class MomentTable:
     """Contour moments: omega_m[m] is the (N+1, K+1) matrix of Omega_nk^(m)
-    for even m; R[(n, m)] the single-gap moments for odd m <= 5."""
+    for even m, with K the spectrum truncation; R[(n, m)] the single-gap
+    moments for odd m <= 5."""
 
     omega2: np.ndarray
     omega4: np.ndarray
@@ -144,25 +144,26 @@ class MomentTable:
 
 
 def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
-            N: int, K: int | None = None, nodes: int = 96) -> MomentTable:
-    """Omega_nk^(m) for m = 2, 4, n <= N, k <= K, and R_k^(m) for m = 1, 3, 5.
+            N: int, nodes: int = 96) -> MomentTable:
+    """Omega_nk^(m) for m = 2, 4, n <= N, k <= K = spec.N, and R_k^(m) for
+    m = 1, 3, 5.
 
     Odd Omega moments and even R moments vanish identically (short circuit),
     as does every moment of a collapsed gap k. Per n, g_nk on every open
-    gap k <= K is read from the node values psi_n carries, or formed from
+    gap k is read from the node values psi_n carries, or formed from
     the spectrum's node block without them; each moment is a sum along its
     row, the same sum as gap by gap (see ``roots``).
     """
-    K = spec.N if K is None else K
-    if not 1 <= K <= spec.N:
-        raise ValidationError(f"K must lie in 1..{spec.N} (the spectrum truncation)")
+    if nodes < 1:
+        raise ValidationError("nodes must be at least 1")
+    K = spec.N
     for n in range(1, N + 1):
         if n not in psis:
             raise ValidationError(f"psi_{n} missing from the supplied family")
     Fv = _F_table(spec, nodes)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
-    opens = spec.open_indices(K)
+    opens = spec.open_indices()
     F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), nodes)
     F2 = F ** 2
     w = 2.0 * math.pi / nodes
@@ -171,17 +172,17 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
                        dtype=float)
         om2[n, opens] = w * np.sum(F2 * g, axis=1)
         om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
-    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, K, Fv, nodes),
+    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, Fv, nodes),
                        N=N, K=K, nodes=nodes)
 
 
-def _r_moments(spec: HillSpectrum, K: int, Fv: dict, nodes: int) -> dict:
+def _r_moments(spec: HillSpectrum, Fv: dict, nodes: int) -> dict:
     """R_k^(m) = -(gamma_k / nodes) sum_t F_k(t)^m sqrt(1 - t^2) for m = 1,
-    3, 5 and k <= K, from the F table Fv; exactly 0 on a collapsed gap."""
-    R = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
+    3, 5 and k <= spec.N, from the F table Fv; exactly 0 on a collapsed gap."""
+    R = {(k, m): 0.0 for k in range(1, spec.N + 1) for m in (1, 3, 5)}
     t = cheb_nodes(nodes)
     root_w = np.sqrt(1.0 - t * t)
-    for k in spec.open_indices(K):
+    for k in spec.open_indices():
         Fk = np.asarray(Fv[k], dtype=float)
         gk = float(spec.gamma[k])
         for m in (1, 3, 5):
@@ -255,9 +256,12 @@ def freq_kdv2(spec: HillSpectrum, mom: MomentTable, n: int):
     return star, tail
 
 
-def frequency_report(u: Potential, N: int, K: int | None = None, nodes: int = 96,
-                     dtype=np.float64, psi_tol: float = 1e-8) -> FrequencyReport:
+def frequency_report(u: Potential, N: int, dtype=np.float64,
+                     psi_tol: float = 1e-8) -> FrequencyReport:
     """Full pipeline: mean split, spectrum, psi family, moments, frequencies.
+
+    The gap quadratures run at their default 96 nodes, and the frequency
+    sums over every gap k <= spec.N.
 
     The star quantities are computed on the zero-mean part q = u - c and the
     full frequencies reassembled by the shift formulas
@@ -268,9 +272,9 @@ def frequency_report(u: Potential, N: int, K: int | None = None, nodes: int = 96
     c = u.mean
     q = u.drop_mean()
     spec = spectrum_for(q, N, dtype=dtype)
-    psis = {n: psi_for(spec, n, tol=psi_tol, nodes=nodes) for n in range(1, N + 1)}
-    mom = moments(spec, psis, N, K=K, nodes=nodes)
-    acts = action_vector(spec, N=spec.N, nodes=nodes)
+    psis = {n: psi_for(spec, n, tol=psi_tol) for n in range(1, N + 1)}
+    mom = moments(spec, psis, N)
+    acts = action_vector(spec)
     grid = np.arange(4096) / 4096.0
     uq = evaluate(q, grid)
     H0 = 0.5 * float(np.mean(uq ** 2))
@@ -314,15 +318,16 @@ class HamiltonianValues:
     flagged: bool
 
 
-def hamiltonians(spec: HillSpectrum, nodes: int = 96) -> HamiltonianValues:
+def hamiltonians(spec: HillSpectrum) -> HamiltonianValues:
     """H0, H1, H2 of the spectrum's potential by 4096-point trapezoid
     (spectrally exact here) plus the renormalized H1*, H2* by the moment
     route (R_k^(3), R_k^(5)) and the subtraction route (the actions), both
-    over every gap k <= spec.N: no psi and no Omega moment is needed."""
+    over every gap k <= spec.N with 96 Chebyshev nodes: no psi and no Omega
+    moment is needed."""
     if spec.potential.mean != 0:     # the routes hold for q = u - mean only
         raise ValidationError("hamiltonians needs the spectrum of a zero-mean potential")
-    acts = action_vector(spec, nodes=nodes)
-    R = _r_moments(spec, spec.N, _F_table(spec, nodes), nodes)
+    acts = action_vector(spec)
+    R = _r_moments(spec, _F_table(spec, 96), 96)
     q = spec.potential
     grid = np.arange(4096) / 4096.0
     u = evaluate(q, grid)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, PhaseWrapError, ValidationError
+from .errors import IntegrationError, NumericalError, PhaseWrapError, ValidationError
+from .hill import periodic_spectrum
 from .potentials import Potential, make_potential
 
 __all__ = ["GridState", "Trajectory", "evolve", "measure_mode_frequency",
@@ -99,15 +100,14 @@ def potential_to_state(q: Potential, M: int) -> np.ndarray:
     return u_hat
 
 
-def state_to_potential(state: GridState, max_mode: int | None = None,
-                       floor: float = 1e-13) -> Potential:
-    """Truncate a grid state to a Potential (modes above `floor` kept)."""
+def state_to_potential(state: GridState, max_mode: int | None = None) -> Potential:
+    """Truncate a grid state to a Potential (modes above 1e-13 kept)."""
     M = state.M
     nmax = min(M // 3, max_mode if max_mode is not None else M // 3)
     pairs = []
     for n in range(1, nmax + 1):
         c = state.u_hat[n]
-        if abs(c) > floor:
+        if abs(c) > 1e-13:
             pairs.append((n, complex(c)))
     return make_potential(pairs, float(state.u_hat[0].real))
 
@@ -224,17 +224,14 @@ def measure_mode_frequency(traj: Trajectory, n: int):
     return float(coef[0]), resid
 
 
-def isospectral_drift(q: Potential, traj: Trajectory, ns, samples: int = 5,
-                      N: int | None = None, dtype=np.float64):
+def isospectral_drift(q: Potential, traj: Trajectory, ns, samples: int = 5):
     """Max |gamma_n(t) - gamma_n(0)| over sampled states of the trajectory.
 
     A spectral-solve failure at an intermediate sample flags that time with
     NaN in the table and the report stays partial rather than aborting.
     """
-    from .errors import NumericalError
-    from .hill import periodic_spectrum   # local import avoids a cycle at import time
     ns = sorted(int(n) for n in ns)
-    N = max(ns) if N is None else N
+    N = max(ns)
     idx = np.unique(np.linspace(0, traj.times.size - 1, samples).astype(int))
     gam0 = None
     drift = 0.0
@@ -242,7 +239,7 @@ def isospectral_drift(q: Potential, traj: Trajectory, ns, samples: int = 5,
     for i in idx:
         pot = state_to_potential(traj.state(int(i)), max_mode=N + 4)
         try:
-            spec = periodic_spectrum(pot, N, dtype=dtype)
+            spec = periodic_spectrum(pot, N)
         except NumericalError:
             if gam0 is None:
                 raise

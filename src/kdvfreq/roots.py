@@ -101,7 +101,7 @@ def standard_root(spec: HillSpectrum, n: int, lam, side: str | None = None):
     return complex(out[0]) if scalar else out
 
 
-def sin_sqrt_quotient(lam, exclude: int = 0, terms: int = 0):
+def sin_sqrt_quotient(lam, exclude: int = 0):
     """sin(sqrt(lam))/sqrt(lam), optionally with the factor
     (m^2 pi^2 - lam)/(m^2 pi^2) removed for m = exclude.
 
@@ -120,7 +120,7 @@ def sin_sqrt_quotient(lam, exclude: int = 0, terms: int = 0):
     logs = np.sum(np.log1p(-x), axis=0)
     # tail: -sum_{j>J} sum_k x^k / k
     tail = 0.0
-    for k in range(1, terms + 4):
+    for k in range(1, 4):
         tail = tail - (lam / math.pi ** 2) ** k / k * zeta_tail(J + 1, k)
     return np.exp(logs + tail)
 

@@ -107,7 +107,7 @@ def inf_product(a, mode: str = "value"):
     return value, A * math.exp(S) + B * math.exp(S + S * S)
 
 
-def sin_product(lam: float, M: int, tail_correction: bool = True) -> float:
+def sin_product(lam: float, M: int) -> float:
     """Truncated sin-product prod_{m <= M} (m^2 pi^2 - lam)/(m^2 pi^2),
     converging to sin(sqrt(lam))/sqrt(lam).
 
@@ -116,12 +116,10 @@ def sin_product(lam: float, M: int, tail_correction: bool = True) -> float:
     """
     m = np.arange(1, M + 1, dtype=float)
     val = float(np.prod(1.0 - lam / (m * m * math.pi ** 2)))
-    if tail_correction:
-        corr = 0.0
-        for k in range(1, 5):
-            corr -= (lam / math.pi ** 2) ** k / k * zeta_tail(M + 1, k)
-        val *= math.exp(corr)
-    return val
+    corr = 0.0
+    for k in range(1, 5):
+        corr -= (lam / math.pi ** 2) ** k / k * zeta_tail(M + 1, k)
+    return val * math.exp(corr)
 
 
 @dataclass(frozen=True)

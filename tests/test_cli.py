@@ -204,15 +204,12 @@ BAD_POTENTIALS = {
     ["evolve", "--eq", "airy", "--T", "-1"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--dt", "-0.0001"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--stride", "0"],
-    ["actions", "--N", "2", "--nodes", "0"],
-    ["freq", "--n", "1..2", "--nodes", "0"],
     ["evolve", "--eq", "airy", "--T", "0.001", "--Mgrid", "0"],
     ["spectrum", "--N", "2", "--potential", "@list-modes"],
     ["spectrum", "--N", "2", "--potential", "@null-mean"],
     ["freq", "--n", "2,-1"],
     ["freq", "--n", "0..2"],
     ["crosscheck", "--n", "-1"],
-    ["freq", "--n", "1..2", "--K", "0"],
     ["actions", "--N", "0"],
     ["freq", "--n", "1..2", "--N", "0"],
     ["hamiltonians", "--N", "0"],
@@ -225,6 +222,9 @@ BAD_POTENTIALS = {
     ["flow-exp", "--t", "inf"],
     ["crosscheck", "--n", "1", "--T", "0"],
     ["crosscheck", "--n", "1", "--T", "-1"],
+    ["flow-exp", "--sigma", "0.3"],
+    ["flow-exp", "--which", "kdv2-hs", "--sigma", "0.5"],
+    ["freq", "--n", "1..x"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):
@@ -261,7 +261,7 @@ def test_overflowing_potential_exit_3(capsys, tmp_path, argv):
     ["evolve", "--eq", "airy", "--T", "0.001", "--format", "csv"],
     ["bnf", "--jobs", "7"],
     ["seqtest", "--potential", "q.json"],
-    ["actions", "--n", "3"],          # a prefix of --nodes
+    ["freq", "--n", "1", "--dump"],   # a prefix of --dump-moments
     ["spectrum", "--tol", "1e-10"],
     ["freq", "--n", "1..2", "--jobs", "0"],
     ["freq", "--n", "1..2", "--jobs", "-3"],
@@ -269,6 +269,14 @@ def test_overflowing_potential_exit_3(capsys, tmp_path, argv):
     ["hamiltonians", "--N", "2", "--M", "40"],
     ["hamiltonians", "--N", "2", "--K", "-1"],
     ["hamiltonians", "--K", "6"],
+    ["actions", "--N", "2", "--nodes", "0"],
+    ["freq", "--n", "1..2", "--nodes", "0"],
+    ["freq", "--n", "1..2", "--K", "0"],
+    ["freq", "--n", "1..2", "--K", "1"],
+    ["crosscheck", "--n", "1", "--K", "2"],
+    ["freq", "--n", "1..2", "--nodes", "1"],
+    ["hamiltonians", "--nodes", "1"],
+    ["crosscheck", "--n", "1", "--nodes", "8"],
 ])
 def test_ignored_flag_exit_2(capsys, pot_file, argv):
     if argv[0] in READS_POTENTIAL:

@@ -7,6 +7,7 @@ from kdvfreq import invariants as inv
 from kdvfreq.errors import ValidationError
 from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
                                 make_potential, single_mode)
+from kdvfreq.roots import psi_solve
 
 from oracles import (moment_without_shortcircuit, r_moment_without_shortcircuit,
                      rectangle_action)
@@ -49,6 +50,17 @@ def test_action_vector_rejects_N_past_the_spectrum(pipe_single):
     _, spec, _, _, _ = pipe_single
     with pytest.raises(ValidationError):
         inv.action_vector(spec, N=spec.N + 1)
+
+
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_node_count_below_one_rejected(pipe_single, nodes):
+    _, spec, psis, _, _ = pipe_single
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        inv.moments(spec, psis, 4, nodes=nodes)
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        inv.action_vector(spec, nodes=nodes)
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        psi_solve(spec, 1, nodes=nodes)
 
 
 def test_action_nonnegative_and_zero_iff_collapsed():
