@@ -20,11 +20,11 @@ for n in range(1, 11):
     print(f"{n:>2} {float(spec.gamma[n]):>12.3e} {acts.I[n]:>14.6e} "
           f"{acts.ratio[n]:>12.8f} {acts.err[n]:>10.1e}")
 
-print("\npsi functions: Newton on the gap roots, then the normalization row")
+print("\npsi functions: the gap roots by the lambda* sweep, then the normalization row")
 psis = {n: inv.psi_for(spec, n) for n in range(1, 7)}
 for n in (1, 2, 3):
     p = psis[n]
-    print(f"  psi_{n}: {p.iterations} iterations, prefactor deviation "
+    print(f"  psi_{n}: {p.iterations} sweeps, prefactor deviation "
           f"rho = {p.rho:+.2e}, residuals "
           + ", ".join(f"{k}:{v:.1e}" for k, v in sorted(p.residuals.items())))
 

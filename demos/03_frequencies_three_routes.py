@@ -38,7 +38,7 @@ print(f"  measured PDE phase velocity     = {om2_pde:.8f}   (fit residual {resid
 print(f"  moment vs PDE relative difference: "
       f"{abs(om2_pde - rep.omega2[n]) / rep.omega2[n]:.2e}")
 
-drift, table = pde.isospectral_drift(q, traj, [1, 2, 3], samples=4)
+drift, table = pde.isospectral_drift(traj, [1, 2, 3], samples=4)
 print(f"\nisospectrality along the KdV flow: max gap drift {drift:.2e}")
 for t, d in table.items():
     print(f"  t = {t:.3f}: {d:.2e}")

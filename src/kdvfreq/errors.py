@@ -18,7 +18,7 @@ class BracketError(NumericalError):
 
 
 class NewtonError(NumericalError):
-    """Newton iteration failed to converge."""
+    """A root iteration (Newton, or the gap-root sweep) failed to converge."""
 
 
 class PhaseWrapError(NumericalError):

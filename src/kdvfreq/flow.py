@@ -166,16 +166,15 @@ def kdv_continuity_experiment(sigma: float, t: float, delta: float,
 
 
 def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
-                               delta: float, ms, N: int = 1,
-                               epsilon: float = 1.0):
+                               delta: float, ms):
     """KdV2 divergence constructions.
 
-    variant='hs' (sigma >= 1): the pair differs at the fixed mode N, whose
-    vanishing amplitude shifts H0 and hence every high frequency; separation
+    variant='hs' (sigma >= 1): the pair differs at mode 1, whose vanishing
+    amplitude shifts H0 and hence every high frequency; separation
     threshold delta/2. variant='level-set' (1/2 <= sigma < 1): both states
-    keep H0 identical by rebalancing mode N, and the difference sits in the
-    action at 2^m; threshold eta_0 = delta*epsilon/2. Returns
-    (rows, delta_used, threshold).
+    keep H0 identical by rebalancing mode 1 (amplitude 1), and the
+    difference sits in the action at 2^m; threshold eta_0 = delta/2.
+    Returns (rows, delta_used, threshold).
     """
     if t <= 0:
         raise ValidationError("t must be positive")
@@ -189,16 +188,16 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
         if delta == 0:
             return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical")
                      for m in ms], 0.0, 0.0)
-        k = max(1, math.ceil(1.0 / (80.0 * N * math.pi * t * delta * delta)))
-        delta_used = 1.0 / math.sqrt(80.0 * N * math.pi * t * k)
+        k = max(1, math.ceil(1.0 / (80.0 * math.pi * t * delta * delta)))
+        delta_used = 1.0 / math.sqrt(80.0 * math.pi * t * k)
         thresh = delta_used / 2.0
         for m in ms:
             m = int(m)
             nm = 2 ** m
             tail = delta_used * float(nm) ** (-sigma)
-            pN = delta_used * math.sqrt(m) / math.sqrt(float(nm))
-            p = BirkhoffState({N: pN, -N: pN, nm: tail, -nm: tail})
-            q = BirkhoffState({N: 0.0, -N: 0.0, nm: tail, -nm: tail})
+            p1 = delta_used * math.sqrt(m) / math.sqrt(float(nm))
+            p = BirkhoffState({1: p1, -1: p1, nm: tail, -nm: tail})
+            q = BirkhoffState({1: 0.0, -1: 0.0, nm: tail, -nm: tail})
             inp = p.diff_norm(q, sigma)
             out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), sigma)
             designated = (m % (2 * k) == k)
@@ -208,29 +207,28 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
     # level-set variant
     if not 0.5 <= sigma < 1.0:
         raise ValidationError("level-set variant requires 1/2 <= sigma < 1")
-    eps = float(epsilon)
     if delta == 0:
         return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical")
                  for m in ms], 0.0, 0.0)
-    k = max(1, math.ceil(1.0 / (80.0 * eps * eps * math.pi * t * delta * delta)))
-    delta_used = 1.0 / math.sqrt(80.0 * eps * eps * math.pi * t * k)
-    if delta_used >= eps:
-        raise ValidationError("delta must stay below epsilon; increase t or epsilon")
-    thresh = delta_used * eps / 2.0
+    k = max(1, math.ceil(1.0 / (80.0 * math.pi * t * delta * delta)))
+    delta_used = 1.0 / math.sqrt(80.0 * math.pi * t * k)
+    if delta_used >= 1.0:
+        raise ValidationError("delta must stay below 1; increase t")
+    thresh = delta_used / 2.0
     for m in ms:
         m = int(m)
         nm = 2 ** m
-        rad_p = 1.0 - delta_used ** 2 / N * float(nm) ** (1.0 - 2.0 * sigma)
-        rad_q = rad_p - delta_used ** 2 / N * m / float(nm)
+        rad_p = 1.0 - delta_used ** 2 * float(nm) ** (1.0 - 2.0 * sigma)
+        rad_q = rad_p - delta_used ** 2 * m / float(nm)
         if rad_q <= 0:
             rows.append(DivergenceRow(m, math.nan, math.nan, False, "inconclusive"))
             continue
-        pN = eps * math.sqrt(rad_p)
-        qN = eps * math.sqrt(rad_q)
-        a = delta_used * eps * float(nm) ** (-sigma)
-        b = delta_used * eps * math.sqrt(m) / float(nm)
-        p = BirkhoffState({N: pN, -N: pN, nm: a, -nm: a})
-        q = BirkhoffState({N: qN, -N: qN, nm: complex(a, b), -nm: complex(a, -b)})
+        p1 = math.sqrt(rad_p)
+        q1 = math.sqrt(rad_q)
+        a = delta_used * float(nm) ** (-sigma)
+        b = delta_used * math.sqrt(m) / float(nm)
+        p = BirkhoffState({1: p1, -1: p1, nm: a, -nm: a})
+        q = BirkhoffState({1: q1, -1: q1, nm: complex(a, b), -nm: complex(a, -b)})
         if abs(p.H0() - q.H0()) > 1e-12 * max(1.0, abs(p.H0())):
             raise ValidationError("level-set construction failed to conserve H0")
         inp = p.diff_norm(q, sigma)

@@ -12,7 +12,8 @@ truncation residual, plus 8 eps (|lam| + 1). A gap is open when gamma
 exceeds max(3 bound, 1e-9); below that floor it is reported exactly
 collapsed. The critical points lam_n^* solve the gap conditions
 sum_j (lam_n^* - lam_j) chi_n(lam_j) = 0 over the Chebyshev nodes of each
-open gap.
+open gap, settled by the weighted-mean sweep ``_gap_roots`` that also
+settles the roots of every psi_n.
 
 The discriminant Delta(lam) = y1(1) + y2'(1) and its lam-derivative come
 from shooting across one period. Shooting serves the public discriminant
@@ -149,11 +150,8 @@ class HillSpectrum:
         """Dirichlet eigenvalues mu_1..mu_N (index 0 NaN)."""
         return _dirichlet(self)
 
-    def open_indices(self, nmax: int | None = None):
-        ns = np.nonzero(self.open_gap)[0]
-        if nmax is not None:
-            ns = ns[ns <= nmax]
-        return [int(n) for n in ns]
+    def open_indices(self):
+        return [int(n) for n in np.nonzero(self.open_gap)[0]]
 
     def to_json(self) -> str:
         def arr(a):
@@ -253,13 +251,14 @@ def _varsigma(tau, gamma, lam):
 @dataclass(frozen=True)
 class GapNodes:
     """The part of the gap quadratures that depends on neither sigma nor n,
-    for d listed gaps: lam[k] = tau_k + t gamma_k / 2 (d, nodes),
-    vs[m, k] = varsigma_m(lam[k]) (d, d, nodes) and root = sqrt(lam - lam0)
-    (d, nodes). The diagonal of vs, where lam lies on gap m itself, is never
-    read and holds 1: the standard root there is NaN (or 0 at a rounded end
-    node), and x87 long-double arithmetic on a NaN operand runs several
-    times slower than on a finite one."""
+    for d listed gaps at the nodes t: lam[k] = tau_k + t gamma_k / 2
+    (d, nodes), vs[m, k] = varsigma_m(lam[k]) (d, d, nodes) and
+    root = sqrt(lam - lam0) (d, nodes). The diagonal of vs, where lam lies on
+    gap m itself, is never read and holds 1: the standard root there is NaN
+    (or 0 at a rounded end node), and x87 long-double arithmetic on a NaN
+    operand runs several times slower than on a finite one."""
 
+    t: np.ndarray
     lam: np.ndarray
     vs: np.ndarray
     root: np.ndarray
@@ -280,25 +279,30 @@ def _build_gap_nodes(tau, gamma, lam0, t) -> GapNodes:
     with np.errstate(invalid="ignore", divide="ignore"):  # m == k: on its own gap
         vs = _varsigma(tau[:, None, None], gamma[:, None, None], lam[None, :, :])
     vs[np.arange(tau.size), np.arange(tau.size)] = 1
-    return GapNodes(lam, vs, np.sqrt(lam - lam0))
+    return GapNodes(t, lam, vs, np.sqrt(lam - lam0))
 
 
-def _critical_points(tau, gamma, lam0, eps, max_iter=50):
-    """lam_k^* of the listed open gaps: the weighted-mean fixed point
-    lam_k^* = sum_j lam_j chi_k(lam_j) / sum_j chi_k(lam_j), all gaps at once,
-    taken as an offset from tau_k so that rounding scales with gamma_k;
-    returned with the node block it was solved on."""
-    t = cheb_nodes(_STAR_NODES).astype(tau.dtype)
-    block = _build_gap_nodes(tau, gamma, lam0, t)
-    lam_star = tau.copy()
-    for _ in range(max_iter):
-        chi = block.products(lam_star) / block.root
-        new = tau + (gamma / 2) * (np.sum(t * chi, axis=1) / np.sum(chi, axis=1))
-        change = np.abs((new - lam_star).astype(float))
-        lam_star = new
-        if np.all(change <= 4.0 * eps * np.abs(tau.astype(float))):
-            return lam_star, block
-    raise NumericalError("critical points lam_n^* did not settle")
+def _gap_roots(block, tau, gamma, roots, eps, max_iter=50, keep=None):
+    """The roots s_k of the block's gap conditions
+    sum_j (s_k - lam_kj) w_kj = 0, w = products(s) / root on row k: the
+    weighted-mean fixed point s_k = tau_k + (gamma_k / 2) sum_j t_j w_kj /
+    sum_j w_kj, every row at once from the given roots, with row ``keep``
+    held. Taken as an offset from tau_k, so that rounding scales with
+    gamma_k. lam^* holds no row; psi_n holds sigma_n = lam_n^*.
+
+    Returns the roots and the number of sweeps, which is None when some
+    change still exceeds 4 eps |tau_k| after max_iter sweeps."""
+    settled = 4.0 * eps * np.abs(tau.astype(float))
+    for sweep in range(1, max_iter + 1):
+        w = block.products(roots) / block.root
+        new = tau + (gamma / 2) * (np.sum(block.t * w, axis=1) / np.sum(w, axis=1))
+        if keep is not None:
+            new[keep] = roots[keep]
+        change = np.abs((new - roots).astype(float))
+        roots = new
+        if np.all(change <= settled):
+            return roots, sweep
+    return roots, None
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +368,10 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     )
     ns = np.nonzero(open_mask)[0]
     if ns.size:
-        lam_star[ns], spec._blocks[_STAR_NODES] = _critical_points(
-            tau[ns], gamma[ns], lam_plus[0], eps)
+        lam_star[ns], sweeps = _gap_roots(spec._gap_nodes(_STAR_NODES), tau[ns],
+                                          gamma[ns], tau[ns], eps)
+        if sweeps is None:
+            raise NumericalError("critical points lam_n^* did not settle")
     return spec
 
 

@@ -75,12 +75,12 @@ def _linear_symbol(eq: str, k: np.ndarray) -> np.ndarray:
     raise ValidationError("eq must be 'airy', 'kdv' or 'kdv2'")
 
 
-def _etdrk4_coeffs(L: np.ndarray, h: float, n_contour: int = 64):
+def _etdrk4_coeffs(L: np.ndarray, h: float):
     E = np.exp(h * L)
     E2 = np.exp(0.5 * h * L)
     # full circle around each h*L point: the symbol is imaginary, so the
     # semicircle-plus-real-part shortcut for real symbols does not apply
-    r = np.exp(2j * math.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    r = np.exp(2j * math.pi * (np.arange(64) + 0.5) / 64)
     LR = h * L[:, None] + r[None, :]
     Q = h * np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=1)
     f1 = h * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR ** 2)) / LR ** 3, axis=1)
@@ -224,7 +224,7 @@ def measure_mode_frequency(traj: Trajectory, n: int):
     return float(coef[0]), resid
 
 
-def isospectral_drift(q: Potential, traj: Trajectory, ns, samples: int = 5):
+def isospectral_drift(traj: Trajectory, ns, samples: int = 5):
     """Max |gamma_n(t) - gamma_n(0)| over sampled states of the trajectory.
 
     A spectral-solve failure at an intermediate sample flags that time with

@@ -15,13 +15,13 @@ the m == k factor is exactly 1 and m ascends, so every value is bit for bit
 that of a per-gap loop. The block holds 1, not the NaN varsigma, where a gap
 meets its own nodes: x87 long-double arithmetic on NaN operands is slow.
 
-``psi_solve`` forms no Jacobian on its last (polish) evaluation; the
-products of that evaluation give the normalization and the node values g_nk
-that the returned psi carries and ``invariants.moments`` reads.
+``psi_solve`` settles the roots of psi_n by the sweep that gives lam^*
+(``hill._gap_roots``). One products call at the settled roots gives the
+residuals, the normalization and the node values g_nk that the returned psi
+carries and ``invariants.moments`` reads.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NewtonError, NumericalError, ValidationError
 from .hill import (HillSpectrum, cheb_nodes, discriminant_batch, _delta_noise,
-                   _build_gap_nodes, _varsigma, _LPI)
+                   _build_gap_nodes, _gap_roots, _varsigma, _LPI)
 from .potentials import Potential
 from .seqspace import zeta_tail
 
@@ -57,6 +57,8 @@ def gap_contour(spec: HillSpectrum, n: int, t=None, side: str = "minus",
                 nodes: int = 96) -> GapContour:
     if side not in ("plus", "minus"):
         raise ValidationError("side must be 'plus' or 'minus'")
+    if nodes < 1:
+        raise ValidationError("nodes must be at least 1")
     t = cheb_nodes(nodes) if t is None else np.atleast_1d(np.asarray(t, dtype=float))
     lam = spec.tau[n] + t * (spec.gamma[n] / 2.0)
     # endpoints match the gap edges exactly
@@ -209,27 +211,16 @@ def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarra
     if not ks.size:
         return {}
     dtype = spec.tau.dtype.type
-    theta, m, cos_mt, sin_mt = _fourier_tables(nodes, dtype)
-    block = _build_gap_nodes(spec.tau[ks], spec.gamma[ks], spec.lam0, np.cos(theta))
-    prod = block.products(spec.lambda_dot[ks]) / block.root
-    f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
-    a = (f @ cos_mt.T) * (dtype(2) / nodes)             # cosine coefficients
-    F = (a / m) @ sin_mt
-    return {int(k): F[i] for i, k in enumerate(ks)}
-
-
-@functools.lru_cache(maxsize=8)
-def _fourier_tables(nodes: int, dtype):
-    """theta (nodes,), the modes m = 1..nodes-1 and cos(m theta), sin(m theta)
-    (modes, nodes) of ``gap_F_integrated`` in the given dtype, read-only."""
     pi = _LPI if dtype == np.longdouble else np.pi
     theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
     m = np.arange(1, nodes, dtype=dtype)
     mt = np.multiply.outer(m, theta)
-    out = (theta, m, np.cos(mt), np.sin(mt))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    block = _build_gap_nodes(spec.tau[ks], spec.gamma[ks], spec.lam0, np.cos(theta))
+    prod = block.products(spec.lambda_dot[ks]) / block.root
+    f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
+    a = (f @ np.cos(mt).T) * (dtype(2) / nodes)         # cosine coefficients
+    F = (a / m) @ np.sin(mt)
+    return {int(k): F[i] for i, k in enumerate(ks)}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +233,9 @@ class PsiFunction:
     sigma[m], m = 1..spec.N, holds the root in gap m (tau_m for collapsed
     gaps, the critical point for m = n); the roots past spec.N are the free
     values m^2 pi^2 and are not stored. ``rho`` is the relative deviation of
-    the solved prefactor from 2/(n pi).
+    the solved prefactor from 2/(n pi). ``residuals`` holds |condition
+    integral| of every open gap k != n at the returned roots (before the
+    normalization), and ``iterations`` the number of sweeps that settled them.
 
     ``node_values`` holds g_nk (``psi_quotient_on_gap``) at the nodes of every
     open gap, one row per gap in ``open_indices`` order, at the sigma and rho
@@ -333,6 +326,8 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
     over the lower side.
     """
     nodes = psi.nodes if nodes is None else nodes
+    if nodes < 1:
+        raise ValidationError("nodes must be at least 1")
     if not spec.open_gap[k]:
         if k != psi.n:
             return 0.0
@@ -346,79 +341,44 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
 
 def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
               max_iter: int = 50) -> PsiFunction:
-    """Solve the gap conditions for psi_n by Newton iteration on the roots.
+    """Solve the gap conditions for psi_n.
 
-    Unknowns are the sigma_k in open gaps k != n (initial guess tau_k) plus
-    the prefactor, which the k = n condition fixes after the zero conditions
-    converge (they are scale invariant). Collapsed gaps pin sigma_k = tau_k
-    exactly. The last (polish) evaluation forms no Jacobian; its products
-    give the normalization and the node values psi carries.
+    The roots sigma_k of the open gaps k != n solve their zero conditions
+    (scale invariant) by the sweep that gives lam^* (``hill._gap_roots``),
+    from tau_k and with sigma_n = lam_n^* held; collapsed gaps pin
+    sigma_k = tau_k exactly. One products call at the settled roots gives the
+    residuals, the prefactor (the k = n condition) and the node values psi
+    carries. Raises NewtonError when the roots do not settle in max_iter
+    sweeps, or when a residual exceeds tol.
     """
     if n < 1 or n > spec.N:
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
     if nodes < 1:
         raise ValidationError("nodes must be at least 1")
-    dtype = spec.tau.dtype
     sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]
-
     opens = spec.open_indices()
-    unknowns = [k for k in opens if k != n]
-    rows = [i for i, k in enumerate(opens) if k != n]
     block = spec._gap_nodes(nodes)
-    lam = block.lam[rows]
-    diag = np.diag_indices(len(unknowns))
+    sweeps = 0
+    if any(k != n for k in opens):
+        keep = opens.index(n) if spec.open_gap[n] else None
+        sigma[opens], sweeps = _gap_roots(
+            block, spec.tau[opens], spec.gamma[opens], sigma[opens],
+            float(np.finfo(sigma.dtype).eps), max_iter, keep)
+        if sweeps is None:
+            raise NewtonError(f"psi_{n} roots did not settle in {max_iter} sweeps")
 
-    def evaluate(sig, jac):
-        # row a: gap k = unknowns[a]; sigma_j enters g through one linear factor
-        P = block.products(sig[opens])
-        prod = (n * math.pi) * (P / block.root)[rows]
-        s = sig[unknowns]
-        g = prod * (s[:, None] - lam)
-        r = (np.sum(g, axis=1) / nodes).astype(float)
-        if not jac:
-            return P, r, None
-        # s_j - lam[a] with s_j repeated along the nodes: every operand of
-        # the subtraction and the division is contiguous in the inner loop
-        den = np.repeat(s, nodes).reshape(1, -1, nodes) - lam[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            J = np.sum(np.divide(g[:, None, :], den, out=den), axis=2)
-        J[diag] = np.sum(prod, axis=1)
-        return P, r, (J / nodes).astype(float)
-
-    iterations = 0
-    res = {}
-    if unknowns:
-        polished = False
-        for iterations in range(1, max_iter + 1):
-            P, r, J = evaluate(sigma, not polished)
-            if polished:
-                break
-            # once within tol, one more (quadratically convergent) step takes
-            # the residual down to the rounding floor
-            polished = np.max(np.abs(r)) <= tol
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonError(f"singular Newton system for psi_{n}") from exc
-            cap = 0.45 * spec.gamma[unknowns].astype(float)
-            sigma[unknowns] += np.clip(step, -cap, cap).astype(dtype)
-        else:
-            _, r, _ = evaluate(sigma, False)
-            raise NewtonError(
-                f"psi_{n} conditions not met after {max_iter} iterations; "
-                f"max residual {np.max(np.abs(r)):.3e}")
-        res = {k: float(abs(r[a])) for a, k in enumerate(unknowns)}
-    else:
-        P = block.products(sigma[opens])
-
+    g = _unit_quotients(n, sigma, np.array(opens, dtype=int), block.lam, block.root,
+                        block.products(sigma[opens]))
+    r = np.sum(g, axis=1) / nodes
+    res = {k: float(abs(r[i])) for i, k in enumerate(opens) if k != n}
+    worst = np.max(list(res.values()), initial=0.0)
+    if not worst <= tol:
+        raise NewtonError(f"psi_{n} conditions not met: max residual {worst:.3e}")
     psi = PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                      rho=0.0, residuals=res, iterations=iterations, nodes=nodes)
-    g = _unit_quotients(n, sigma, np.array(opens, dtype=int), block.lam, block.root, P)
-    if spec.open_gap[n]:
-        c_n = float(np.sum(g[opens.index(n)]) / nodes)
-    else:
-        c_n = condition_integral(spec, psi, n, nodes)
+                      rho=0.0, residuals=res, iterations=sweeps, nodes=nodes)
+    c_n = float(r[opens.index(n)]) if spec.open_gap[n] else \
+        condition_integral(spec, psi, n, nodes)
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0

@@ -7,10 +7,11 @@ a dense scan for the psi-root condition, and a PDE step that forms its
 products on a zero-padded complex grid.
 
 The references are helpers only tests call: the Floquet exponent F_n by
-shooting, moments with both gap sides quadratured apart, and the per-gap
+shooting, moments with both gap sides quadratured apart, the per-gap
 bodies of ``psi_solve``, ``moments`` and ``action_vector`` that evaluate
 every standard root where it is used, for the bit-identity tests of the
-shared node block.
+shared node block, and a per-gap Newton solve of the psi roots, independent
+of the sweep ``psi_solve`` runs.
 """
 import math
 
@@ -99,7 +100,7 @@ def rectangle_action(q, spec, n, pts_per_side=160, pad=None):
 
 def dense_sigma_root(spec, psi, k, width=0.45, npts=4001):
     """Root of the gap-k condition integral in sigma_k by dense scanning,
-    independent of the Newton path."""
+    independent of the sweep that settles psi's roots."""
     tau = float(spec.tau[k])
     g = float(spec.gamma[k])
     sigmas = np.linspace(tau - width * g, tau + width * g, npts)
@@ -249,7 +250,49 @@ def condition_integral_per_gap(spec, psi, k, nodes):
 
 
 def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
-    """``roots.psi_solve`` with the standard roots rebuilt at every step."""
+    """``roots.psi_solve`` with the standard roots rebuilt at every sweep and
+    every row of the sweep summed on its own."""
+    sigma = spec.tau.copy()
+    sigma[n] = spec.lambda_dot[n]
+    opens = spec.open_indices()
+    rows = [i for i, k in enumerate(opens) if k != n]
+    tau, gamma = spec.tau[opens], spec.gamma[opens]
+    t = R.cheb_nodes(nodes).astype(spec.tau.dtype)
+    settled = 4.0 * float(np.finfo(spec.tau.dtype).eps) * np.abs(tau.astype(float))
+    sweeps = 0
+    if rows:
+        s = sigma[opens]
+        for sweeps in range(1, max_iter + 1):
+            _, w = _gap_products(tau, gamma, s, spec.lam0, t)
+            new = s.copy()
+            for i in rows:
+                new[i] = tau[i] + (gamma[i] / 2) * (np.sum(t * w[i]) / np.sum(w[i]))
+            change = np.abs((new - s).astype(float))
+            s = new
+            if np.all(change <= settled):
+                break
+        else:
+            raise NewtonError(f"psi_{n} roots did not settle")
+        sigma[opens] = s
+    psi = R.PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
+                        rho=0.0, residuals={}, iterations=sweeps, nodes=nodes)
+    psi.residuals = {opens[i]: abs(condition_integral_per_gap(spec, psi, opens[i], nodes))
+                     for i in rows}
+    if not np.max(list(psi.residuals.values()), initial=0.0) <= tol:
+        raise NewtonError(f"psi_{n} conditions not met")
+    c_n = (condition_integral_per_gap(spec, psi, n, nodes) if spec.open_gap[n]
+           else R.condition_integral(spec, psi, n, nodes))
+    if c_n == 0.0 or not np.isfinite(c_n):
+        raise NumericalError(f"degenerate normalization integral for psi_{n}")
+    psi.rho = 1.0 / c_n - 1.0
+    psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
+    return psi
+
+
+def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
+    """The psi_n roots by Newton on the zero conditions, the standard roots
+    rebuilt at every step: the Jacobian in the roots, steps capped at
+    0.45 gamma, and one more step once the residuals are within tol."""
     dtype = spec.tau.dtype
     sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]

@@ -105,7 +105,7 @@ def test_kdv_experiment_validation():
 
 def test_kdv2_hs_variant():
     ms = [5, 9, 13, 17, 21]
-    rows, du, thresh = kdv2_continuity_experiment(1.0, 1.0, "hs", 0.1, ms, N=1)
+    rows, du, thresh = kdv2_continuity_experiment(1.0, 1.0, "hs", 0.1, ms)
     for r in rows:
         if r.designated:
             assert r.output_gap >= thresh
@@ -116,14 +116,13 @@ def test_kdv2_hs_variant():
 
 def test_kdv2_level_set_conserves_H0():
     ms = [5, 9, 13]
-    sigma, t, eps = 0.5, 1.0, 1.0
+    sigma, t = 0.5, 1.0
     # conservation is asserted inside; a failure raises
-    rows, du, thresh = kdv2_continuity_experiment(sigma, t, "level-set", 0.05,
-                                                  ms, N=1, epsilon=eps)
+    rows, du, thresh = kdv2_continuity_experiment(sigma, t, "level-set", 0.05, ms)
     for r in rows:
         if r.designated:
             assert r.output_gap >= thresh
-    assert thresh == pytest.approx(du * eps / 2.0)
+    assert thresh == pytest.approx(du / 2.0)
 
 
 def test_kdv2_t0_divergence_zero():

@@ -7,6 +7,9 @@ equals the per-gap reference in ``oracles`` exactly, not just to rounding.
 Any RuntimeWarning fails: the standard root of a gap at its own nodes (NaN,
 or 0 where rounding puts an end node on the edge) must stay quiet, and the
 block stores 1 there instead.
+
+The roots psi_solve settles by its sweep also equal, bit for bit, those of an
+independent per-gap Newton solve on these cases.
 """
 import cmath
 
@@ -19,7 +22,8 @@ from kdvfreq.hill import _varsigma
 from kdvfreq.potentials import cosine_sum, make_potential, rough_profile, single_mode
 from kdvfreq.roots import gap_contour, psi_quotient_on_gap, psi_solve
 
-from oracles import action_vector_per_gap, moments_per_gap, psi_solve_per_gap
+from oracles import (action_vector_per_gap, moments_per_gap, psi_newton_per_gap,
+                     psi_solve_per_gap)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -65,6 +69,14 @@ def test_psi_matches_per_gap_bit_for_bit(case):
         assert psi.rho == ref.rho and psi.prefactor == ref.prefactor, n
         assert psi.residuals == ref.residuals, n
         assert psi.iterations == ref.iterations, n
+
+
+def test_psi_sweep_matches_newton_bit_for_bit(case):
+    spec, N, tol, nodes, psis = case
+    for n, psi in psis.items():
+        ref = psi_newton_per_gap(spec, n, tol=tol, nodes=nodes)
+        assert np.array_equal(psi.sigma, ref.sigma, equal_nan=True), n
+        assert psi.rho == ref.rho, n
 
 
 def test_psi_node_values_match_per_gap_bit_for_bit(case):

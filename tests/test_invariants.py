@@ -7,7 +7,7 @@ from kdvfreq import invariants as inv
 from kdvfreq.errors import ValidationError
 from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
                                 make_potential, single_mode)
-from kdvfreq.roots import psi_solve
+from kdvfreq.roots import condition_integral, gap_contour, psi_solve
 
 from oracles import (moment_without_shortcircuit, r_moment_without_shortcircuit,
                      rectangle_action)
@@ -61,6 +61,12 @@ def test_node_count_below_one_rejected(pipe_single, nodes):
         inv.action_vector(spec, nodes=nodes)
     with pytest.raises(ValidationError, match="nodes must be at least 1"):
         psi_solve(spec, 1, nodes=nodes)
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        condition_integral(spec, psis[1], 1, nodes)
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        inv.omega0_table(spec, psis, 4, 4, nodes=nodes)
+    with pytest.raises(ValidationError, match="nodes must be at least 1"):
+        gap_contour(spec, 1, nodes=nodes)
 
 
 def test_action_nonnegative_and_zero_iff_collapsed():

@@ -100,14 +100,14 @@ def test_mode_amplitude_guard(kdv_run):
 def test_isospectral_drift_zero_airy():
     q = make_potential([], 0.0)
     traj = pde.evolve(q, 0.01, "airy", dt=1e-3, M=64)
-    drift, _ = pde.isospectral_drift(q, traj, [1, 2], samples=3)
+    drift, _ = pde.isospectral_drift(traj, [1, 2], samples=3)
     assert drift == 0.0
 
 
 def test_isospectral_drift_kdv_small():
     q = single_mode(1, 0.1)
     traj = pde.evolve(q, 0.01, "kdv", dt=1e-5, M=128)
-    drift, table = pde.isospectral_drift(q, traj, [1, 2], samples=3)
+    drift, table = pde.isospectral_drift(traj, [1, 2], samples=3)
     assert drift <= 1e-7
     assert table
 
@@ -162,7 +162,7 @@ def test_isospectral_drift_kdv2():
     # amplitude 0.05, T = 0.005: gap drift <= 1e-5
     q = single_mode(1, 0.05)
     traj = pde.evolve(q, 0.005, "kdv2", dt=4e-7, M=128)
-    drift, _ = pde.isospectral_drift(q, traj, [1, 2], samples=3)
+    drift, _ = pde.isospectral_drift(traj, [1, 2], samples=3)
     assert drift <= 1e-5
 
 

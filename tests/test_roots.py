@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdvfreq import invariants as inv
-from kdvfreq.errors import ValidationError
+from kdvfreq.errors import NewtonError, ValidationError
 from kdvfreq.hill import discriminant, discriminant_batch, periodic_spectrum
 from kdvfreq.potentials import cosine_sum, make_potential, single_mode
 from kdvfreq.roots import (canonical_root, cheb_nodes, condition_integral,
@@ -233,8 +233,16 @@ def test_psi_sigma_vs_dense_oracle(spec_two):
     assert abs(float(psi.sigma[2] - spec_two.lambda_dot[2])) <= 0.3 * float(spec_two.gamma[2])
 
 
+def test_psi_sweep_cap_and_tol_raise(spec_two):
+    assert len(spec_two.open_indices()) >= 2
+    with pytest.raises(NewtonError, match="did not settle"):
+        psi_solve(spec_two, 1, max_iter=1)
+    with pytest.raises(NewtonError, match="conditions not met"):
+        psi_solve(spec_two, 1, tol=-1.0)
+
+
 def test_psi_residuals_reach_the_rounding_floor_longdouble(q_two):
-    # one Newton step past tol: the residuals end far below it
+    # the sweep settles the roots to rounding: the residuals end far below tol
     if np.finfo(np.longdouble).eps > 1e-17:
         pytest.skip("needs 80-bit longdouble")
     spec = periodic_spectrum(q_two, 8, dtype=np.longdouble)
