@@ -36,7 +36,6 @@ __all__ = ["DiscriminantValue", "HillSpectrum", "discriminant", "discriminant_ba
            "periodic_spectrum"]
 
 _LPI = np.longdouble("3.14159265358979323846264338327950288")
-_STAR_NODES = 96
 
 
 def _qfun(q: Potential, dtype):
@@ -117,7 +116,8 @@ class HillSpectrum:
     exactly. ``gamma_floor`` is the widest gamma each gap may hide when
     reported collapsed, and ``gamma_rel_err`` bounds the relative error of
     each open gamma. ``potential`` is the potential the spectrum belongs to.
-    ``mu`` is solved by shooting on first access.
+    ``mu`` is solved by shooting on first access; the node block ``_block``
+    that every gap quadrature reads is built on first use too (by lam^*).
     """
 
     lambda_plus: np.ndarray
@@ -131,19 +131,17 @@ class HillSpectrum:
     N: int
     ode_tol: float
     potential: Potential = field(repr=False)
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lam0(self):
         return self.lambda_plus[0]
 
-    def _gap_nodes(self, nodes: int) -> GapNodes:
-        """The open gaps' node block at ``nodes`` Chebyshev nodes, built once."""
-        if nodes not in self._blocks:
-            op = self.open_gap
-            self._blocks[nodes] = _build_gap_nodes(
-                self.tau[op], self.gamma[op], self.lam0, cheb_nodes(nodes).astype(self.tau.dtype))
-        return self._blocks[nodes]
+    @cached_property
+    def _block(self) -> GapNodes:
+        """The open gaps' node block at the NODES Chebyshev nodes."""
+        op = self.open_gap
+        return _build_gap_nodes(self.tau[op], self.gamma[op], self.lam0,
+                                cheb_nodes(NODES).astype(self.tau.dtype))
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -235,6 +233,9 @@ def _ritz(H, V, ev, idx, top, qnorm, eps):
 
 # ---------------------------------------------------------------------------
 # gap conditions
+
+NODES = 96      # Chebyshev nodes per gap side, in every gap quadrature
+
 
 def cheb_nodes(K: int) -> np.ndarray:
     """First-kind Gauss-Chebyshev nodes on (-1, 1), increasing."""
@@ -368,8 +369,7 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     )
     ns = np.nonzero(open_mask)[0]
     if ns.size:
-        lam_star[ns], sweeps = _gap_roots(spec._gap_nodes(_STAR_NODES), tau[ns],
-                                          gamma[ns], tau[ns], eps)
+        lam_star[ns], sweeps = _gap_roots(spec._block, tau[ns], gamma[ns], tau[ns], eps)
         if sweeps is None:
             raise NumericalError("critical points lam_n^* did not settle")
     return spec

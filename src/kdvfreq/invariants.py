@@ -15,7 +15,7 @@ import numpy as np
 
 from . import roots
 from .errors import NumericalError, ValidationError
-from .hill import HillSpectrum, _varsigma, periodic_spectrum
+from .hill import NODES, HillSpectrum, _varsigma, periodic_spectrum
 from .potentials import Potential, evaluate, evaluate_derivative
 from .roots import PsiFunction, cheb_nodes, psi_solve
 
@@ -42,10 +42,10 @@ def psi_for(spec: HillSpectrum, n: int, tol: float = 1e-8) -> PsiFunction:
     return psi_solve(spec, n, tol=tol)
 
 
-def _F_table(spec: HillSpectrum, nodes: int) -> dict[int, np.ndarray]:
+def _F_table(spec: HillSpectrum) -> dict[int, np.ndarray]:
     """F on the minus side of every open gap, integrated from the spectral
     data (``roots.gap_F_integrated``)."""
-    return roots.gap_F_integrated(spec, nodes)
+    return roots.gap_F_integrated(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +81,12 @@ def _action_ratios(spec: HillSpectrum, ns, t, root, prod) -> np.ndarray:
     return (2.0 * np.sum((t - t_n[:, None]) ** 2 * chi, axis=1) / t.size).astype(float)
 
 
-def action_vector(spec: HillSpectrum, N: int | None = None,
-                  nodes: int = 96) -> ActionVector:
-    """Actions I_n of gaps 1..N (default spec.N), each from 2 x nodes
-    Chebyshev nodes with the change from nodes as its error estimate;
-    collapsed gaps give exactly I_n = err = 0. The nodes pass reads the
-    spectrum's node block; the 2 x nodes pass multiplies its products up one
-    gap m at a time, with no (d, d, 2 nodes) array (see ``roots``)."""
-    if nodes < 1:
-        raise ValidationError("nodes must be at least 1")
+def action_vector(spec: HillSpectrum, N: int | None = None) -> ActionVector:
+    """Actions I_n of gaps 1..N (default spec.N), each from 2 x NODES
+    Chebyshev nodes with the change from NODES as its error estimate;
+    collapsed gaps give exactly I_n = err = 0. The NODES pass reads the
+    spectrum's node block; the 2 x NODES pass multiplies its products up one
+    gap m at a time, with no (d, d, 2 NODES) array (see ``roots``)."""
     N = spec.N if N is None else N
     if N > spec.N:
         raise ValidationError(f"N={N} exceeds the spectrum truncation {spec.N}")
@@ -101,10 +98,10 @@ def action_vector(spec: HillSpectrum, N: int | None = None,
             ratio[n] = float(_chi_values(spec, n, np.atleast_1d(spec.tau[n]))[0])
     opens = spec.open_indices()
     ns = [n for n in opens if n <= N]
-    block = spec._gap_nodes(nodes)
-    r1 = _action_ratios(spec, ns, cheb_nodes(nodes), block.root[:len(ns)],
+    block = spec._block
+    r1 = _action_ratios(spec, ns, cheb_nodes(NODES), block.root[:len(ns)],
                         block.products(spec.lambda_dot[opens], 0, len(ns)))
-    t2 = cheb_nodes(2 * nodes)
+    t2 = cheb_nodes(2 * NODES)
     tau, gamma, star = (a[opens][:, None] for a in (spec.tau, spec.gamma, spec.lambda_dot))
     lam = tau[:len(ns)] + t2 * (gamma[:len(ns)] / 2)
     prod = np.ones_like(lam)
@@ -140,11 +137,9 @@ class MomentTable:
     R: dict
     N: int
     K: int
-    nodes: int
 
 
-def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
-            N: int, nodes: int = 96) -> MomentTable:
+def moments(spec: HillSpectrum, psis: dict[int, PsiFunction], N: int) -> MomentTable:
     """Omega_nk^(m) for m = 2, 4, n <= N, k <= K = spec.N, and R_k^(m) for
     m = 1, 3, 5.
 
@@ -154,49 +149,46 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction],
     the spectrum's node block without them; each moment is a sum along its
     row, the same sum as gap by gap (see ``roots``).
     """
-    if nodes < 1:
-        raise ValidationError("nodes must be at least 1")
     K = spec.N
     for n in range(1, N + 1):
         if n not in psis:
             raise ValidationError(f"psi_{n} missing from the supplied family")
-    Fv = _F_table(spec, nodes)
+    Fv = _F_table(spec)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
     opens = spec.open_indices()
-    F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), nodes)
+    F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), NODES)
     F2 = F ** 2
-    w = 2.0 * math.pi / nodes
+    w = 2.0 * math.pi / NODES
     for n in range(1, N + 1):
-        g = np.asarray(roots._block_quotients(spec, psis[n], nodes, 0, len(opens)),
+        g = np.asarray(roots._block_quotients(spec, psis[n], 0, len(opens)),
                        dtype=float)
         om2[n, opens] = w * np.sum(F2 * g, axis=1)
         om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
-    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, Fv, nodes),
-                       N=N, K=K, nodes=nodes)
+    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, Fv), N=N, K=K)
 
 
-def _r_moments(spec: HillSpectrum, Fv: dict, nodes: int) -> dict:
-    """R_k^(m) = -(gamma_k / nodes) sum_t F_k(t)^m sqrt(1 - t^2) for m = 1,
+def _r_moments(spec: HillSpectrum, Fv: dict) -> dict:
+    """R_k^(m) = -(gamma_k / NODES) sum_t F_k(t)^m sqrt(1 - t^2) for m = 1,
     3, 5 and k <= spec.N, from the F table Fv; exactly 0 on a collapsed gap."""
     R = {(k, m): 0.0 for k in range(1, spec.N + 1) for m in (1, 3, 5)}
-    t = cheb_nodes(nodes)
+    t = cheb_nodes(NODES)
     root_w = np.sqrt(1.0 - t * t)
     for k in spec.open_indices():
         Fk = np.asarray(Fv[k], dtype=float)
         gk = float(spec.gamma[k])
         for m in (1, 3, 5):
-            R[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
+            R[(k, m)] = -(gk / NODES) * float(np.sum(Fk ** m * root_w))
     return R
 
 
 def omega0_table(spec: HillSpectrum, psis: dict[int, PsiFunction],
-                 N: int, K: int, nodes: int | None = None) -> np.ndarray:
+                 N: int, K: int) -> np.ndarray:
     """The normalization moments Omega_nk^(0) / (2 pi); identity when solved."""
     out = np.zeros((N + 1, K + 1))
     for n in range(1, N + 1):
         for k in range(1, K + 1):
-            out[n, k] = roots.condition_integral(spec, psis[n], k, nodes)
+            out[n, k] = roots.condition_integral(spec, psis[n], k)
     return out
 
 
@@ -260,8 +252,7 @@ def frequency_report(u: Potential, N: int, dtype=np.float64,
                      psi_tol: float = 1e-8) -> FrequencyReport:
     """Full pipeline: mean split, spectrum, psi family, moments, frequencies.
 
-    The gap quadratures run at their default 96 nodes, and the frequency
-    sums over every gap k <= spec.N.
+    The frequency sums run over every gap k <= spec.N.
 
     The star quantities are computed on the zero-mean part q = u - c and the
     full frequencies reassembled by the shift formulas
@@ -322,12 +313,11 @@ def hamiltonians(spec: HillSpectrum) -> HamiltonianValues:
     """H0, H1, H2 of the spectrum's potential by 4096-point trapezoid
     (spectrally exact here) plus the renormalized H1*, H2* by the moment
     route (R_k^(3), R_k^(5)) and the subtraction route (the actions), both
-    over every gap k <= spec.N with 96 Chebyshev nodes: no psi and no Omega
-    moment is needed."""
+    over every gap k <= spec.N: no psi and no Omega moment is needed."""
     if spec.potential.mean != 0:     # the routes hold for q = u - mean only
         raise ValidationError("hamiltonians needs the spectrum of a zero-mean potential")
     acts = action_vector(spec)
-    R = _r_moments(spec, _F_table(spec, 96), 96)
+    R = _r_moments(spec, _F_table(spec))
     q = spec.potential
     grid = np.arange(4096) / 4096.0
     u = evaluate(q, grid)

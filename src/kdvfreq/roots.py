@@ -1,19 +1,21 @@
 """Standard and canonical roots, the Floquet exponent on gap sides, and the
 interpolation functions psi_n solved from their contour conditions.
 
-All gap integrals use Gauss-Chebyshev (first kind) nodes: the gap-side
-parametrization lam_t = tau + t*gamma/2 exposes an exact 1/sqrt(1-t^2)
-endpoint weight. Collapsed gaps contribute the factor 1 exactly to every
-root quotient, so products run over the open gaps only; modes beyond the
-spectrum truncation are handled by the sin-product tail.
+All gap integrals use NODES = 96 Gauss-Chebyshev (first kind) nodes: the
+gap-side parametrization lam_t = tau + t*gamma/2 exposes an exact
+1/sqrt(1-t^2) endpoint weight. Collapsed gaps contribute the factor 1
+exactly to every root quotient, so products run over the open gaps only;
+modes beyond the spectrum truncation are handled by the sin-product tail.
 
 The products prod_m (s_m - lam) / varsigma_m(lam) at the nodes of the open
-gaps read one block per spectrum and node count (``HillSpectrum._gap_nodes``:
-the nodes, every varsigma_m there, sqrt(lam - lam0)), built with lam^* and
-shared by psi, the moments and the actions. Each factor divides by varsigma,
-the m == k factor is exactly 1 and m ascends, so every value is bit for bit
-that of a per-gap loop. The block holds 1, not the NaN varsigma, where a gap
-meets its own nodes: x87 long-double arithmetic on NaN operands is slow.
+gaps read one block per spectrum (``HillSpectrum._block``: the float64
+nodes in the spectrum dtype, every varsigma_m there, sqrt(lam - lam0)),
+built with lam^* and shared by psi, the condition integrals, F, the moments
+and the actions. Only the actions' error estimate forms other nodes, twice
+as many, one gap m at a time. Each factor divides by varsigma, the m == k
+factor is exactly 1 and m ascends, so every value is bit for bit that of a
+per-gap loop. The block holds 1, not the NaN varsigma, where a gap meets its
+own nodes: x87 long-double arithmetic on NaN operands is slow.
 
 ``psi_solve`` settles the roots of psi_n by the sweep that gives lam^*
 (``hill._gap_roots``). One products call at the settled roots gives the
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonError, NumericalError, ValidationError
-from .hill import (HillSpectrum, cheb_nodes, discriminant_batch, _delta_noise,
-                   _build_gap_nodes, _gap_roots, _varsigma, _LPI)
+from .hill import (NODES, HillSpectrum, cheb_nodes, discriminant_batch, _delta_noise,
+                   _gap_roots, _varsigma, _LPI)
 from .potentials import Potential
 from .seqspace import zeta_tail
 
@@ -45,26 +47,28 @@ __all__ = ["GapContour", "PsiFunction", "standard_root", "canonical_root",
 
 @dataclass(frozen=True)
 class GapContour:
-    """Parametrized side of gap n: lam_t = tau + (t +- i0) gamma / 2."""
+    """Gap n at the nodes t: lam_t = tau + t gamma / 2. Both sides share
+    these points; the side enters only through the functions evaluated there."""
 
     n: int
-    side: str
     t: np.ndarray
     lam: np.ndarray
 
 
-def gap_contour(spec: HillSpectrum, n: int, t=None, side: str = "minus",
-                nodes: int = 96) -> GapContour:
-    if side not in ("plus", "minus"):
-        raise ValidationError("side must be 'plus' or 'minus'")
-    if nodes < 1:
-        raise ValidationError("nodes must be at least 1")
-    t = cheb_nodes(nodes) if t is None else np.atleast_1d(np.asarray(t, dtype=float))
+def _check_gap(spec: HillSpectrum, n: int):
+    if not 1 <= n <= spec.N:
+        raise ValidationError(f"gap index {n} outside spectrum range 1..{spec.N}")
+
+
+def gap_contour(spec: HillSpectrum, n: int, t=None) -> GapContour:
+    """Gap n at the nodes t, by default the NODES Chebyshev nodes."""
+    _check_gap(spec, n)
+    t = cheb_nodes(NODES) if t is None else np.atleast_1d(np.asarray(t, dtype=float))
     lam = spec.tau[n] + t * (spec.gamma[n] / 2.0)
     # endpoints match the gap edges exactly
     lam = np.where(t == -1.0, spec.lambda_minus[n], lam)
     lam = np.where(t == 1.0, spec.lambda_plus[n], lam)
-    return GapContour(n, side, t, lam)
+    return GapContour(n, t, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -174,51 +178,50 @@ def canonical_root(spec: HillSpectrum, lam):
 # ---------------------------------------------------------------------------
 # Floquet exponent on gap sides
 
-def gap_F_values(q: Potential, spec: HillSpectrum, nodes: int = 96,
-                 ks=None, tol: float | None = None) -> dict[int, np.ndarray]:
-    """F_k at the Chebyshev nodes of every requested open gap (minus side),
-    from a single batched discriminant evaluation."""
-    ks = spec.open_indices() if ks is None else [k for k in ks if spec.open_gap[k]]
+def gap_F_values(q: Potential, spec: HillSpectrum) -> dict[int, np.ndarray]:
+    """F_k at the Chebyshev nodes of every open gap (minus side), from a
+    single batched discriminant evaluation."""
+    ks = spec.open_indices()
     if not ks:
         return {}
-    t = cheb_nodes(nodes)
-    lams = np.concatenate([gap_contour(spec, k, t).lam for k in ks])
-    tol = spec.ode_tol if tol is None else tol
-    d = discriminant_batch(q, lams.astype(spec.tau.dtype), tol)
+    lams = np.concatenate([gap_contour(spec, k).lam for k in ks])
+    d = discriminant_batch(q, lams.astype(spec.tau.dtype), spec.ode_tol)
     delta = np.asarray(d["delta"], dtype=float)
     eps = float(np.finfo(spec.tau.dtype).eps)
     out = {}
     for i, k in enumerate(ks):
-        arg = ((-1.0) ** k) * delta[i * nodes:(i + 1) * nodes] / 2.0
-        noise = _delta_noise(float(spec.tau[k]), tol, eps)
+        arg = ((-1.0) ** k) * delta[i * NODES:(i + 1) * NODES] / 2.0
+        noise = _delta_noise(float(spec.tau[k]), spec.ode_tol, eps)
         if np.any(arg < 1.0 - max(1e-12, 5.0 * noise)):
             raise NumericalError(f"discriminant dips below 2 inside gap {k}")
         out[k] = -np.arccosh(np.maximum(arg, 1.0))   # minus side
     return out
 
 
-def gap_F_integrated(spec: HillSpectrum, nodes: int = 96) -> dict[int, np.ndarray]:
+def gap_F_integrated(spec: HillSpectrum) -> dict[int, np.ndarray]:
     """F_k at the Chebyshev nodes of every open gap (minus side), from the
     spectral data alone.
 
     Along lam = tau_k + (gamma_k / 2) cos(theta), theta from 0 (lam_k^+) to
     pi (lam_k^-), dF/dtheta = (lam_k^* - lam) chi_k(lam) / (2 k pi). Its
-    cosine coefficients a_m come from the node values (a_0 = 0 is the
-    lam_k^* condition), and F = sum_m a_m sin(m theta) / m, all in the
-    spectrum dtype. ``gap_F_values`` computes the same table by shooting.
+    values at the nodes come from the spectrum's node block; its cosine
+    coefficients a_m (a_0 = 0 is the lam_k^* condition) and
+    F = sum_m a_m sin(m theta) / m use the cosines and sines of theta itself,
+    all in the spectrum dtype. ``gap_F_values`` computes the same table by
+    shooting.
     """
     ks = np.array(spec.open_indices())
     if not ks.size:
         return {}
     dtype = spec.tau.dtype.type
     pi = _LPI if dtype == np.longdouble else np.pi
-    theta = pi * (2 * np.arange(nodes, 0, -1, dtype=dtype) - 1) / (2 * nodes)
-    m = np.arange(1, nodes, dtype=dtype)
+    theta = pi * (2 * np.arange(NODES, 0, -1, dtype=dtype) - 1) / (2 * NODES)
+    m = np.arange(1, NODES, dtype=dtype)
     mt = np.multiply.outer(m, theta)
-    block = _build_gap_nodes(spec.tau[ks], spec.gamma[ks], spec.lam0, np.cos(theta))
+    block = spec._block
     prod = block.products(spec.lambda_dot[ks]) / block.root
     f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
-    a = (f @ np.cos(mt).T) * (dtype(2) / nodes)         # cosine coefficients
+    a = (f @ np.cos(mt).T) * (dtype(2) / NODES)         # cosine coefficients
     F = (a / m) @ np.sin(mt)
     return {int(k): F[i] for i, k in enumerate(ks)}
 
@@ -250,7 +253,6 @@ class PsiFunction:
     rho: float
     residuals: dict[int, float]
     iterations: int
-    nodes: int = 96
     node_values: np.ndarray | None = field(default=None, init=False, repr=False,
                                            compare=False)
     _node_block: object = field(default=None, init=False, repr=False, compare=False)
@@ -302,13 +304,13 @@ def _unit_quotients(n, sigma, ks, lam, root, prods) -> np.ndarray:
     return g
 
 
-def _block_quotients(spec: HillSpectrum, psi: PsiFunction, nodes: int,
-                     lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _block_quotients(spec: HillSpectrum, psi: PsiFunction, lo: int = 0,
+                     hi: int | None = None) -> np.ndarray:
     """``psi_quotient_on_gap`` at the nodes of the open gaps lo..hi-1 (in
     ``open_indices`` order), one row per gap: the node values psi carries
-    when they were formed on the spectrum's block at this node count,
-    otherwise formed from that block."""
-    block = spec._gap_nodes(nodes)
+    when they were formed on the spectrum's block, otherwise formed from
+    that block."""
+    block = spec._block
     if psi._node_block is block:
         return psi.node_values[lo:hi]
     opens = np.nonzero(spec.open_gap)[0]
@@ -317,17 +319,14 @@ def _block_quotients(spec: HillSpectrum, psi: PsiFunction, nodes: int,
     return (1.0 + psi.rho) * g
 
 
-def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
-                       nodes: int | None = None) -> float:
+def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int) -> float:
     """(1/2 pi) * contour integral of psi_n / sqrt_c(Delta^2 - 4) around gap k.
 
     Equals delta_nk when psi_n solves its conditions. Collapsed gaps give
     delta_nk exactly (Cauchy / residue); open gaps reduce to a Chebyshev sum
     over the lower side.
     """
-    nodes = psi.nodes if nodes is None else nodes
-    if nodes < 1:
-        raise ValidationError("nodes must be at least 1")
+    _check_gap(spec, k)
     if not spec.open_gap[k]:
         if k != psi.n:
             return 0.0
@@ -336,10 +335,10 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int,
         pref, fac, _ = _gap_quotient_products(spec, psi.sigma, psi.n, k, lam)
         return float((1.0 + psi.rho) * pref[0] * np.prod(fac[:, 0]))
     i = spec.open_indices().index(k)
-    return float(np.sum(_block_quotients(spec, psi, nodes, i, i + 1)[0]) / nodes)
+    return float(np.sum(_block_quotients(spec, psi, i, i + 1)[0]) / NODES)
 
 
-def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
+def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8,
               max_iter: int = 50) -> PsiFunction:
     """Solve the gap conditions for psi_n.
 
@@ -353,12 +352,10 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
     """
     if n < 1 or n > spec.N:
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
-    if nodes < 1:
-        raise ValidationError("nodes must be at least 1")
     sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]
     opens = spec.open_indices()
-    block = spec._gap_nodes(nodes)
+    block = spec._block
     sweeps = 0
     if any(k != n for k in opens):
         keep = opens.index(n) if spec.open_gap[n] else None
@@ -370,15 +367,15 @@ def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8, nodes: int = 96,
 
     g = _unit_quotients(n, sigma, np.array(opens, dtype=int), block.lam, block.root,
                         block.products(sigma[opens]))
-    r = np.sum(g, axis=1) / nodes
+    r = np.sum(g, axis=1) / NODES
     res = {k: float(abs(r[i])) for i, k in enumerate(opens) if k != n}
     worst = np.max(list(res.values()), initial=0.0)
     if not worst <= tol:
         raise NewtonError(f"psi_{n} conditions not met: max residual {worst:.3e}")
     psi = PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                      rho=0.0, residuals=res, iterations=sweeps, nodes=nodes)
+                      rho=0.0, residuals=res, iterations=sweeps)
     c_n = float(r[opens.index(n)]) if spec.open_gap[n] else \
-        condition_integral(spec, psi, n, nodes)
+        condition_integral(spec, psi, n)
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0

@@ -21,7 +21,7 @@ from kdvfreq import invariants as inv
 from kdvfreq import pde
 from kdvfreq import roots as R
 from kdvfreq.errors import NewtonError, NumericalError, ValidationError
-from kdvfreq.hill import _delta_noise, _varsigma, discriminant_batch
+from kdvfreq.hill import NODES, _delta_noise, _varsigma, discriminant_batch
 from kdvfreq.potentials import evaluate
 
 
@@ -104,16 +104,14 @@ def dense_sigma_root(spec, psi, k, width=0.45, npts=4001):
     tau = float(spec.tau[k])
     g = float(spec.gamma[k])
     sigmas = np.linspace(tau - width * g, tau + width * g, npts)
-    t = R.cheb_nodes(psi.nodes)
-    ct = R.gap_contour(spec, k, t)
-    lam = ct.lam.astype(spec.tau.dtype)
+    lam = R.gap_contour(spec, k).lam.astype(spec.tau.dtype)
     sig = psi.sigma.copy()
     vals = np.empty(npts)
     for i, s in enumerate(sigmas):
         sig[k] = s
         pref, fac, _ = R._gap_quotient_products(spec, sig, psi.n, k, lam)
         gk = pref * np.prod(fac, axis=0) * (s - lam)
-        vals[i] = float(np.sum(gk) / psi.nodes)
+        vals[i] = float(np.sum(gk) / NODES)
     sgn = np.sign(vals)
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     assert idx.size == 1, "condition must have exactly one root in the window"
@@ -179,7 +177,7 @@ def floquet_F_on_gap(q, spec, n, t, side="minus", tol=None):
     if not spec.open_gap[n]:
         raise ValidationError(f"gap {n} is collapsed; F_n has no gap side there")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    ct = R.gap_contour(spec, n, t, side)
+    ct = R.gap_contour(spec, n, t)
     tol = spec.ode_tol if tol is None else tol
     d = discriminant_batch(q, ct.lam.astype(spec.tau.dtype), tol)
     arg = ((-1.0) ** n) * np.asarray(d["delta"], dtype=float) / 2.0
@@ -197,7 +195,7 @@ def floquet_F_on_gap(q, spec, n, t, side="minus", tol=None):
     return float(out[0]) if out.size == 1 and np.ndim(t) <= 1 and t.size == 1 else out
 
 
-def moment_without_shortcircuit(spec, psi, k, m, nodes=96):
+def moment_without_shortcircuit(spec, psi, k, m):
     """Omega_nk^(m) with both gap sides quadratured separately and combined.
 
     For odd m (or even R moments) the side sums cancel; evaluating them
@@ -205,26 +203,24 @@ def moment_without_shortcircuit(spec, psi, k, m, nodes=96):
     """
     if not spec.open_gap[k]:
         return 0.0
-    t = R.cheb_nodes(nodes)
-    ct = R.gap_contour(spec, k, t)
-    lam = ct.lam.astype(spec.tau.dtype)
+    lam = R.gap_contour(spec, k).lam.astype(spec.tau.dtype)
     g = np.asarray(R.psi_quotient_on_gap(spec, psi, k, lam), dtype=float)
-    Fm = np.asarray(inv._F_table(spec, nodes)[k], dtype=float)
-    side_minus = (math.pi / nodes) * np.sum(Fm ** m * g)
-    side_plus = (math.pi / nodes) * np.sum((-Fm) ** m * g)
+    Fm = np.asarray(inv._F_table(spec)[k], dtype=float)
+    side_minus = (math.pi / NODES) * np.sum(Fm ** m * g)
+    side_plus = (math.pi / NODES) * np.sum((-Fm) ** m * g)
     return float(side_minus + side_plus)
 
 
-def r_moment_without_shortcircuit(spec, k, m, nodes=96):
+def r_moment_without_shortcircuit(spec, k, m):
     """R_k^(m) from both gap sides separately (cancels to noise for even m)."""
     if not spec.open_gap[k]:
         return 0.0
-    Fm = np.asarray(inv._F_table(spec, nodes)[k], dtype=float)
-    t = R.cheb_nodes(nodes)
+    Fm = np.asarray(inv._F_table(spec)[k], dtype=float)
+    t = R.cheb_nodes(NODES)
     w = np.sqrt(1.0 - t * t)
     gk = float(spec.gamma[k])
-    side_minus = -(gk / (2.0 * nodes)) * np.sum(Fm ** m * w)
-    side_plus = +(gk / (2.0 * nodes)) * np.sum((-Fm) ** m * w)
+    side_minus = -(gk / (2.0 * NODES)) * np.sum(Fm ** m * w)
+    side_plus = +(gk / (2.0 * NODES)) * np.sum((-Fm) ** m * w)
     return float(side_minus + side_plus)
 
 
@@ -242,14 +238,13 @@ def _gap_products(tau, gamma, roots, lam0, t):
     return lam, np.prod(fac, axis=0) / np.sqrt(lam - lam0)
 
 
-def condition_integral_per_gap(spec, psi, k, nodes):
+def condition_integral_per_gap(spec, psi, k):
     """``roots.condition_integral`` on an open gap k, per gap."""
-    ct = R.gap_contour(spec, k, R.cheb_nodes(nodes))
-    g = R.psi_quotient_on_gap(spec, psi, k, ct.lam)
-    return float(np.sum(g) / nodes)
+    g = R.psi_quotient_on_gap(spec, psi, k, R.gap_contour(spec, k).lam)
+    return float(np.sum(g) / NODES)
 
 
-def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
+def psi_solve_per_gap(spec, n, tol=1e-8, max_iter=50):
     """``roots.psi_solve`` with the standard roots rebuilt at every sweep and
     every row of the sweep summed on its own."""
     sigma = spec.tau.copy()
@@ -257,7 +252,7 @@ def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
     opens = spec.open_indices()
     rows = [i for i, k in enumerate(opens) if k != n]
     tau, gamma = spec.tau[opens], spec.gamma[opens]
-    t = R.cheb_nodes(nodes).astype(spec.tau.dtype)
+    t = R.cheb_nodes(NODES).astype(spec.tau.dtype)
     settled = 4.0 * float(np.finfo(spec.tau.dtype).eps) * np.abs(tau.astype(float))
     sweeps = 0
     if rows:
@@ -275,13 +270,13 @@ def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
             raise NewtonError(f"psi_{n} roots did not settle")
         sigma[opens] = s
     psi = R.PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                        rho=0.0, residuals={}, iterations=sweeps, nodes=nodes)
-    psi.residuals = {opens[i]: abs(condition_integral_per_gap(spec, psi, opens[i], nodes))
+                        rho=0.0, residuals={}, iterations=sweeps)
+    psi.residuals = {opens[i]: abs(condition_integral_per_gap(spec, psi, opens[i]))
                      for i in rows}
     if not np.max(list(psi.residuals.values()), initial=0.0) <= tol:
         raise NewtonError(f"psi_{n} conditions not met")
-    c_n = (condition_integral_per_gap(spec, psi, n, nodes) if spec.open_gap[n]
-           else R.condition_integral(spec, psi, n, nodes))
+    c_n = (condition_integral_per_gap(spec, psi, n) if spec.open_gap[n]
+           else R.condition_integral(spec, psi, n))
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0
@@ -289,7 +284,7 @@ def psi_solve_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
     return psi
 
 
-def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
+def psi_newton_per_gap(spec, n, tol=1e-8, max_iter=50):
     """The psi_n roots by Newton on the zero conditions, the standard roots
     rebuilt at every step: the Jacobian in the roots, steps capped at
     0.45 gamma, and one more step once the residuals are within tol."""
@@ -299,7 +294,7 @@ def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
     opens = spec.open_indices()
     unknowns = [k for k in opens if k != n]
     rows = [i for i, k in enumerate(opens) if k != n]
-    t = R.cheb_nodes(nodes).astype(dtype)
+    t = R.cheb_nodes(NODES).astype(dtype)
     diag = np.diag_indices(len(unknowns))
 
     def residuals_and_jac(sig):
@@ -311,7 +306,7 @@ def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
         with np.errstate(divide="ignore", invalid="ignore"):
             J = np.sum(g[:, None, :] / (s[None, :, None] - lam[:, None, :]), axis=2)
         J[diag] = np.sum(prod, axis=1)
-        return (np.sum(g, axis=1) / nodes).astype(float), (J / nodes).astype(float)
+        return (np.sum(g, axis=1) / NODES).astype(float), (J / NODES).astype(float)
 
     iterations = 0
     res = {}
@@ -332,9 +327,9 @@ def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
             raise NewtonError(f"psi_{n} conditions not met")
         res = {k: float(abs(r[a])) for a, k in enumerate(unknowns)}
     psi = R.PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                        rho=0.0, residuals=res, iterations=iterations, nodes=nodes)
-    c_n = (condition_integral_per_gap(spec, psi, n, nodes) if spec.open_gap[n]
-           else R.condition_integral(spec, psi, n, nodes))
+                        rho=0.0, residuals=res, iterations=iterations)
+    c_n = (condition_integral_per_gap(spec, psi, n) if spec.open_gap[n]
+           else R.condition_integral(spec, psi, n))
     if c_n == 0.0 or not np.isfinite(c_n):
         raise NumericalError(f"degenerate normalization integral for psi_{n}")
     psi.rho = 1.0 / c_n - 1.0
@@ -342,26 +337,26 @@ def psi_newton_per_gap(spec, n, tol=1e-8, nodes=96, max_iter=50):
     return psi
 
 
-def moments_per_gap(spec, psis, N, K=None, nodes=96):
+def moments_per_gap(spec, psis, N, K=None):
     """``invariants.moments`` as (omega2, omega4, R), gap by gap."""
     K = spec.N if K is None else K
-    Fv = inv._F_table(spec, nodes)
+    Fv = inv._F_table(spec)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
     Rm = {(k, m): 0.0 for k in range(1, K + 1) for m in (1, 3, 5)}
-    t = R.cheb_nodes(nodes)
+    t = R.cheb_nodes(NODES)
     root_w = np.sqrt(1.0 - t * t)
     for k in [k for k in spec.open_indices() if k <= K]:
         lam = R.gap_contour(spec, k, t).lam.astype(spec.tau.dtype)
         F2 = np.asarray(Fv[k], dtype=float) ** 2
         for n in range(1, N + 1):
             g = np.asarray(R.psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
-            om2[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * g))
-            om4[n, k] = (2.0 * math.pi / nodes) * float(np.sum(F2 * F2 * g))
+            om2[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * g))
+            om4[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * F2 * g))
         gk = float(spec.gamma[k])
         Fk = np.asarray(Fv[k], dtype=float)
         for m in (1, 3, 5):
-            Rm[(k, m)] = -(gk / nodes) * float(np.sum(Fk ** m * root_w))
+            Rm[(k, m)] = -(gk / NODES) * float(np.sum(Fk ** m * root_w))
     return om2, om4, Rm
 
 
@@ -375,18 +370,18 @@ def _action_ratio(spec, n, nodes):
     return float(2.0 * np.sum((t - t_n) ** 2 * chi) / nodes)
 
 
-def action_vector_per_gap(spec, N=None, nodes=96):
+def action_vector_per_gap(spec, N=None):
     """``invariants.action_vector`` as (I, ratio, err), gap by gap."""
     N = spec.N if N is None else N
     I = np.zeros(N + 1)
     ratio = np.full(N + 1, np.nan)
     err = np.zeros(N + 1)
     for n in range(1, N + 1):
-        ratio[n] = _action_ratio(spec, n, nodes)
+        ratio[n] = _action_ratio(spec, n, NODES)
         if spec.open_gap[n]:
             g = float(spec.gamma[n])
             scale = g * g / (8.0 * n * math.pi)
-            r2 = _action_ratio(spec, n, 2 * nodes)
+            r2 = _action_ratio(spec, n, 2 * NODES)
             I[n] = scale * r2
             err[n] = abs(scale * (r2 - ratio[n]))
             ratio[n] = r2

@@ -1,7 +1,7 @@
 """The shared node block against the per-gap evaluation it replaces.
 
-``psi_solve``, ``moments`` and ``action_vector`` read the standard roots
-from one block per spectrum and node count. Built with the bit-identity rule
+lam^*, ``psi_solve``, F, ``moments`` and ``action_vector`` read the
+standard roots from one block per spectrum. Built with the bit-identity rule
 (divide by varsigma, an exact unit diagonal factor, ascending m), every value
 equals the per-gap reference in ``oracles`` exactly, not just to rounding.
 Any RuntimeWarning fails: the standard root of a gap at its own nodes (NaN,
@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kdvfreq import hill
 from kdvfreq import invariants as inv
-from kdvfreq.hill import _varsigma
+from kdvfreq.hill import NODES, _varsigma
 from kdvfreq.potentials import cosine_sum, make_potential, rough_profile, single_mode
 from kdvfreq.roots import gap_contour, psi_quotient_on_gap, psi_solve
 
@@ -27,24 +28,24 @@ from oracles import (action_vector_per_gap, moments_per_gap, psi_newton_per_gap,
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-# name: (potential, N, dtype, psi_tol, nodes)
+# name: (potential, N, dtype, psi_tol)
 CASES = {
     "four_mode_ld": (cosine_sum([(1, 0.4), (2, 0.35), (3, 0.3), (4, 0.25)]), 24,
-                     np.longdouble, 1e-10, 96),
+                     np.longdouble, 1e-10),
     "family_f64": (make_potential([(j, (0.05 + 0.002 * j) * cmath.exp(1j * j))
-                                   for j in range(1, 7)]), 8, np.float64, 1e-8, 96),
+                                   for j in range(1, 7)]), 8, np.float64, 1e-8),
     # period 1/2: every odd gap is collapsed, so psi_1 and psi_3 have every
-    # open gap as an unknown; 31 nodes put one node on each tau exactly
-    "collapsed_gap": (single_mode(2, 0.1), 8, np.float64, 1e-8, 31),
-    "one_open_gap": (single_mode(1, 1e-5), 6, np.float64, 1e-8, 96),
+    # open gap as an unknown
+    "collapsed_gap": (single_mode(2, 0.1), 8, np.float64, 1e-8),
+    "one_open_gap": (single_mode(1, 1e-5), 6, np.float64, 1e-8),
     # small gaps high up: varsigma of a gap at its own end nodes rounds to 0
-    "rough_f64": (rough_profile(0.5, 24), 48, np.float64, 1e-8, 96),
+    "rough_f64": (rough_profile(0.5, 24), 48, np.float64, 1e-8),
 }
 
 
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
-    q, N, dtype, tol, nodes = CASES[request.param]
+    q, N, dtype, tol = CASES[request.param]
     spec = inv.spectrum_for(q, N, dtype=dtype)
     if request.param == "collapsed_gap":
         assert not spec.open_gap[1] and not spec.open_gap[3] and spec.open_gap[2]
@@ -54,16 +55,16 @@ def case(request):
         opens = spec.open_indices()
         with np.errstate(invalid="ignore"):
             own = _varsigma(spec.tau[opens][:, None], spec.gamma[opens][:, None],
-                            spec._gap_nodes(nodes).lam)
+                            spec._block.lam)
         assert np.any(own == 0)
-    psis = {n: psi_solve(spec, n, tol=tol, nodes=nodes) for n in range(1, N + 1)}
-    return spec, N, tol, nodes, psis
+    psis = {n: psi_solve(spec, n, tol=tol) for n in range(1, N + 1)}
+    return spec, N, tol, psis
 
 
 def test_psi_matches_per_gap_bit_for_bit(case):
-    spec, N, tol, nodes, psis = case
+    spec, N, tol, psis = case
     for n, psi in psis.items():
-        ref = psi_solve_per_gap(spec, n, tol=tol, nodes=nodes)
+        ref = psi_solve_per_gap(spec, n, tol=tol)
         assert psi.sigma.dtype == ref.sigma.dtype
         assert np.array_equal(psi.sigma, ref.sigma, equal_nan=True), n
         assert psi.rho == ref.rho and psi.prefactor == ref.prefactor, n
@@ -72,32 +73,32 @@ def test_psi_matches_per_gap_bit_for_bit(case):
 
 
 def test_psi_sweep_matches_newton_bit_for_bit(case):
-    spec, N, tol, nodes, psis = case
+    spec, N, tol, psis = case
     for n, psi in psis.items():
-        ref = psi_newton_per_gap(spec, n, tol=tol, nodes=nodes)
+        ref = psi_newton_per_gap(spec, n, tol=tol)
         assert np.array_equal(psi.sigma, ref.sigma, equal_nan=True), n
         assert psi.rho == ref.rho, n
 
 
 def test_psi_node_values_match_per_gap_bit_for_bit(case):
-    spec, N, _, nodes, psis = case
+    spec, N, _, psis = case
     for n, psi in psis.items():
-        assert psi.node_values.shape == (len(spec.open_indices()), nodes), n
+        assert psi.node_values.shape == (len(spec.open_indices()), NODES), n
         for i, k in enumerate(spec.open_indices()):
-            lam = gap_contour(spec, k, nodes=nodes).lam.astype(spec.tau.dtype)
+            lam = gap_contour(spec, k).lam.astype(spec.tau.dtype)
             want = psi_quotient_on_gap(spec, psi, k, lam)
             assert np.array_equal(psi.node_values[i], want), (n, k)
 
 
 def test_block_standard_roots_are_finite(case):
-    spec, _, _, nodes, _ = case
-    assert np.all(np.isfinite(spec._gap_nodes(nodes).vs))
+    spec, _, _, _ = case
+    assert np.all(np.isfinite(spec._block.vs))
 
 
 def test_moments_match_per_gap_bit_for_bit(case):
-    spec, N, _, nodes, psis = case
-    mom = inv.moments(spec, psis, N, nodes=nodes)
-    om2, om4, R = moments_per_gap(spec, psis, N, nodes=nodes)
+    spec, N, _, psis = case
+    mom = inv.moments(spec, psis, N)
+    om2, om4, R = moments_per_gap(spec, psis, N)
     assert mom.K == spec.N
     assert np.array_equal(mom.omega2, om2)
     assert np.array_equal(mom.omega4, om4)
@@ -106,24 +107,38 @@ def test_moments_match_per_gap_bit_for_bit(case):
 
 @pytest.mark.parametrize("cut", [False, True])
 def test_actions_match_per_gap_bit_for_bit(case, cut):
-    spec, N, _, nodes, _ = case
+    spec, N, _, _ = case
     N = N // 2 if cut else None
-    acts = inv.action_vector(spec, N=N, nodes=nodes)
-    I, ratio, err = action_vector_per_gap(spec, N=N, nodes=nodes)
+    acts = inv.action_vector(spec, N=N)
+    I, ratio, err = action_vector_per_gap(spec, N=N)
     assert np.array_equal(acts.I, I)
     assert np.array_equal(acts.ratio, ratio, equal_nan=True)
     assert np.array_equal(acts.err, err)
 
 
-def test_block_is_built_once_per_node_count():
-    spec = inv.spectrum_for(cosine_sum([(1, 0.2), (2, 0.2)]), 8)
-    star = spec._gap_nodes(96)            # the block lam^* was solved on
-    psi_solve(spec, 1)
-    inv.action_vector(spec)
-    assert spec._gap_nodes(96) is star and list(spec._blocks) == [96]
-    d = len(spec.open_indices())
-    assert star.vs.shape == (d, d, 96) and star.lam.shape == star.root.shape == (d, 96)
-    assert "_blocks" not in repr(spec)
+def test_one_block_per_spectrum(monkeypatch):
+    # every node block and every spectrum the pipelines make is counted
+    blocks, spectra = [], []
+    GapNodes, periodic_spectrum = hill.GapNodes, inv.periodic_spectrum
+
+    def gap_nodes(*args):
+        blocks.append(GapNodes(*args))
+        return blocks[-1]
+
+    def spectrum(*args, **kwargs):
+        spectra.append(periodic_spectrum(*args, **kwargs))
+        return spectra[-1]
+
+    monkeypatch.setattr(hill, "GapNodes", gap_nodes)
+    monkeypatch.setattr(inv, "periodic_spectrum", spectrum)
+    rep = inv.frequency_report(cosine_sum([(1, 0.2), (2, 0.2)]), 8)
+    inv.hamiltonians(rep.spectrum)
+    assert spectra and len(blocks) == len(spectra)
+    assert rep.spectrum._block is blocks[-1]
+    d = len(rep.spectrum.open_indices())
+    assert blocks[-1].vs.shape == (d, d, NODES)
+    assert blocks[-1].lam.shape == blocks[-1].root.shape == (d, NODES)
+    assert "_block" not in repr(rep.spectrum)
 
 
 @settings(max_examples=12, deadline=None)
@@ -133,26 +148,26 @@ def test_block_is_built_once_per_node_count():
        dtype=st.sampled_from([np.float64, np.longdouble]))
 def test_random_potentials_match_per_gap_bit_for_bit(modes, dtype):
     q = make_potential([(j, a * cmath.exp(1j * th)) for j, a, th in modes])
-    N, tol, nodes = 6, 1e-10 if dtype is np.longdouble else 1e-8, 96
+    N, tol = 6, 1e-10 if dtype is np.longdouble else 1e-8
     spec = inv.spectrum_for(q, N, dtype=dtype)
     psis = {}
     for n in range(1, N + 1):
         try:
-            ref = psi_solve_per_gap(spec, n, tol=tol, nodes=nodes)
+            ref = psi_solve_per_gap(spec, n, tol=tol)
         except Exception as exc:           # the block version fails the same way
             with pytest.raises(Exception) as info:
-                psi_solve(spec, n, tol=tol, nodes=nodes)
+                psi_solve(spec, n, tol=tol)
             assert type(info.value) is type(exc), (n, exc, info.value)
             continue
-        psis[n] = psi_solve(spec, n, tol=tol, nodes=nodes)
+        psis[n] = psi_solve(spec, n, tol=tol)
         assert np.array_equal(psis[n].sigma, ref.sigma, equal_nan=True), n
         assert (psis[n].rho, psis[n].residuals) == (ref.rho, ref.residuals), n
     if len(psis) == N:
-        mom = inv.moments(spec, psis, N, nodes=nodes)
-        om2, om4, R = moments_per_gap(spec, psis, N, nodes=nodes)
+        mom = inv.moments(spec, psis, N)
+        om2, om4, R = moments_per_gap(spec, psis, N)
         assert np.array_equal(mom.omega2, om2) and np.array_equal(mom.omega4, om4)
         assert mom.R == R
-    acts = inv.action_vector(spec, nodes=nodes)
-    I, ratio, err = action_vector_per_gap(spec, nodes=nodes)
+    acts = inv.action_vector(spec)
+    I, ratio, err = action_vector_per_gap(spec)
     assert np.array_equal(acts.I, I) and np.array_equal(acts.err, err)
     assert np.array_equal(acts.ratio, ratio, equal_nan=True)

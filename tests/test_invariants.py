@@ -52,21 +52,15 @@ def test_action_vector_rejects_N_past_the_spectrum(pipe_single):
         inv.action_vector(spec, N=spec.N + 1)
 
 
-@pytest.mark.parametrize("nodes", [0, -3])
-def test_node_count_below_one_rejected(pipe_single, nodes):
-    _, spec, psis, _, _ = pipe_single
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        inv.moments(spec, psis, 4, nodes=nodes)
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        inv.action_vector(spec, nodes=nodes)
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        psi_solve(spec, 1, nodes=nodes)
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        condition_integral(spec, psis[1], 1, nodes)
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        inv.omega0_table(spec, psis, 4, 4, nodes=nodes)
-    with pytest.raises(ValidationError, match="nodes must be at least 1"):
-        gap_contour(spec, 1, nodes=nodes)
+@pytest.mark.parametrize("k", [-1, 0, 13])
+def test_gap_index_outside_the_spectrum_rejected(k):
+    spec = inv.spectrum_for(cosine_sum([(1, 0.2), (2, 0.2)]), 12)
+    assert spec.N == 12
+    psi = psi_solve(spec, 1)
+    with pytest.raises(ValidationError, match="outside spectrum range 1..12"):
+        gap_contour(spec, k)
+    with pytest.raises(ValidationError, match="outside spectrum range 1..12"):
+        condition_integral(spec, psi, k)
 
 
 def test_action_nonnegative_and_zero_iff_collapsed():

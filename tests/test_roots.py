@@ -66,10 +66,9 @@ def test_standard_root_sign_right_of_gap(spec_two):
 
 
 def test_standard_root_endpoints_vanish(spec_two):
-    for side in ("plus", "minus"):
-        ct = gap_contour(spec_two, 1, np.array([-1.0, 1.0]), side)
-        assert ct.lam[0] == spec_two.lambda_minus[1]
-        assert ct.lam[1] == spec_two.lambda_plus[1]
+    ct = gap_contour(spec_two, 1, np.array([-1.0, 1.0]))
+    assert ct.lam[0] == spec_two.lambda_minus[1]
+    assert ct.lam[1] == spec_two.lambda_plus[1]
     # sqrt amplifies endpoint roundoff to sqrt(gamma * eps) ~ 1e-8
     assert abs(standard_root(spec_two, 1, float(spec_two.lambda_plus[1]))) < 1e-7
 
