@@ -10,8 +10,7 @@ from .potentials import (Potential, make_potential, evaluate, single_mode,
                          cosine_sum, rough_profile, potential_from_json,
                          potential_to_json)
 from .hill import DiscriminantValue, HillSpectrum, discriminant, periodic_spectrum
-from .roots import (GapContour, PsiFunction, standard_root, canonical_root,
-                    psi_solve, gap_contour)
+from .roots import PsiFunction, psi_solve
 from .invariants import (ActionVector, MomentTable, FrequencyReport,
                          HamiltonianValues, action_vector, moments,
                          freq_kdv, freq_kdv2, hamiltonians, frequency_report,

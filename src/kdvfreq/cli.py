@@ -250,12 +250,6 @@ def _cmd_flow_exp(args):
 
 def _cmd_evolve(args):
     q = _load_potential(args.potential)
-    if args.T <= 0:
-        raise ValidationError("--T must be positive")
-    if args.dt is not None and args.dt <= 0:
-        raise ValidationError("--dt must be positive")
-    if args.stride is not None and args.stride < 1:
-        raise ValidationError("--stride must be at least 1")
     traj = pde.evolve(q, args.T, args.eq, dt=args.dt, M=args.Mgrid, stride=args.stride)
     _write(args.out, _trajectory_lines(traj.times, traj.states))
     return 0 if not traj.aborted else 3
@@ -277,12 +271,10 @@ def _cmd_crosscheck(args):
     n = int(args.n)
     if n < 1:
         raise ValidationError(f"gap indices start at 1, got {n}")
-    if args.T is not None and args.T <= 0:
-        raise ValidationError("--T must be positive")
-    rep = invariants.frequency_report(q, n, dtype=_dtype(args))
-    om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
     T = args.T if args.T is not None else (0.05 if args.eq == "kdv" else 0.002)
     traj = pde.evolve(q, T, args.eq)
+    rep = invariants.frequency_report(q, n, dtype=_dtype(args))
+    om_formula = rep.omega1[n] if args.eq == "kdv" else rep.omega2[n]
     om_pde, resid = pde.measure_mode_frequency(traj, n)
     rel = abs(om_pde - om_formula) / abs(om_formula)
     obj = {"eq": args.eq, "n": n, "omega_formula": float(om_formula),

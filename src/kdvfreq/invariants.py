@@ -67,12 +67,6 @@ class ActionVector:
     N: int
 
 
-def _chi_values(spec: HillSpectrum, n: int, lam: np.ndarray) -> np.ndarray:
-    """chi_n(lam) = n pi/sqrt(lam - lam0) * prod_{open m != n} (lam_m^* - lam)/varsigma_m."""
-    pref, fac, _ = roots._gap_quotient_products(spec, spec.lambda_dot, n, n, lam)
-    return pref * np.prod(fac, axis=0)
-
-
 def _action_ratios(spec: HillSpectrum, ns, t, root, prod) -> np.ndarray:
     """(2/pi) int (t - t_n)^2 chi_n(lam_t) / sqrt(1-t^2) dt over each open gap
     n of ns, from the rows sqrt(lam - lam0) and prod_{m != n} of chi_n."""
@@ -95,7 +89,8 @@ def action_vector(spec: HillSpectrum, N: int | None = None) -> ActionVector:
     err = np.zeros(N + 1)
     for n in range(1, N + 1):
         if not spec.open_gap[n]:
-            ratio[n] = float(_chi_values(spec, n, np.atleast_1d(spec.tau[n]))[0])
+            pref, prod = roots._collapsed_quotient(spec, spec.lambda_dot, n)
+            ratio[n] = float(pref * prod)
     opens = spec.open_indices()
     ns = [n for n in opens if n <= N]
     block = spec._block
@@ -395,6 +390,10 @@ def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
     d = len(A)
     if d == 0:
         raise ValidationError("index set A must be nonempty")
+    if which not in ("kdv", "kdv2"):
+        raise ValidationError("which must be 'kdv' or 'kdv2'")
+    if not (math.isfinite(h) and h != 0):
+        raise ValidationError(f"step h must be finite and nonzero, got {h}")
     if family is None:
         def family(eps):
             return Potential(tuple(A), tuple(complex(e) for e in eps), 0.0)

@@ -148,6 +148,7 @@ def evolve(q: Potential, T: float, eq: str = "kdv", dt: float | None = None,
     conjugate negative modes and exact zeros above M//3. Samples every
     `stride` steps (default: about 400 samples). On NaN or overflow the
     trajectory is truncated at the last valid sample and flagged aborted.
+    T and dt must be positive and finite, and stride at least 1.
     """
     dflt = DEFAULTS[eq] if eq in DEFAULTS else None
     if dflt is None:
@@ -156,6 +157,12 @@ def evolve(q: Potential, T: float, eq: str = "kdv", dt: float | None = None,
     M = dflt["M"] if M is None else M
     if M < 1 or M & (M - 1):
         raise ValidationError("grid size M must be a power of two")
+    if not 0 < T < math.inf:
+        raise ValidationError(f"T must be positive and finite, got {T}")
+    if not 0 < dt < math.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if stride is not None and stride < 1:
+        raise ValidationError(f"stride must be at least 1, got {stride}")
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     stride = max(1, nsteps // 400) if stride is None else stride

@@ -6,12 +6,14 @@ a rectangle-contour action quadrature driven by discriminant values alone,
 a dense scan for the psi-root condition, and a PDE step that forms its
 products on a zero-padded complex grid.
 
-The references are helpers only tests call: the Floquet exponent F_n by
-shooting, moments with both gap sides quadratured apart, the per-gap
-bodies of ``psi_solve``, ``moments`` and ``action_vector`` that evaluate
-every standard root where it is used, for the bit-identity tests of the
-shared node block, and a per-gap Newton solve of the psi roots, independent
-of the sweep ``psi_solve`` runs.
+The references are helpers only tests call: the gap nodes, the integrands
+g_nk and chi_n evaluated one gap at a time, the canonical root of
+Delta^2 - 4 off the open gaps, the Floquet exponent F_n by shooting,
+moments with both gap sides quadratured apart, the per-gap bodies of
+``psi_solve``, ``moments`` and ``action_vector`` that evaluate every
+standard root where it is used, for the bit-identity tests of the shared
+node block, and a per-gap Newton solve of the psi roots, independent of the
+sweep ``psi_solve`` runs.
 """
 import math
 
@@ -23,6 +25,7 @@ from kdvfreq import roots as R
 from kdvfreq.errors import NewtonError, NumericalError, ValidationError
 from kdvfreq.hill import NODES, _delta_noise, _varsigma, discriminant_batch
 from kdvfreq.potentials import evaluate
+from kdvfreq.seqspace import zeta_tail
 
 
 def hill_matrix_eigenvalues(q, N, K=100):
@@ -104,12 +107,12 @@ def dense_sigma_root(spec, psi, k, width=0.45, npts=4001):
     tau = float(spec.tau[k])
     g = float(spec.gamma[k])
     sigmas = np.linspace(tau - width * g, tau + width * g, npts)
-    lam = R.gap_contour(spec, k).lam.astype(spec.tau.dtype)
+    lam = gap_nodes(spec, k)
     sig = psi.sigma.copy()
     vals = np.empty(npts)
     for i, s in enumerate(sigmas):
         sig[k] = s
-        pref, fac, _ = R._gap_quotient_products(spec, sig, psi.n, k, lam)
+        pref, fac = _quotient_factors(spec, sig, psi.n, k, lam)
         gk = pref * np.prod(fac, axis=0) * (s - lam)
         vals[i] = float(np.sum(gk) / NODES)
     sgn = np.sign(vals)
@@ -165,6 +168,72 @@ def padded_etdrk4(q, eq, dt, M, nsteps):
 # ---------------------------------------------------------------------------
 # test-only helpers
 
+def gap_nodes(spec, n, t=None):
+    """lam_t = tau_n + t gamma_n / 2 on gap n at the nodes t (by default the
+    NODES Chebyshev nodes, the rows of ``spec._block.lam``), in the spectrum
+    dtype; t = -1 and 1 give the gap edges exactly."""
+    t = R.cheb_nodes(NODES) if t is None else np.atleast_1d(np.asarray(t, dtype=float))
+    lam = spec.tau[n] + t * (spec.gamma[n] / 2.0)
+    lam = np.where(t == -1.0, spec.lambda_minus[n], lam)
+    return np.where(t == 1.0, spec.lambda_plus[n], lam)
+
+
+def _quotient_factors(spec, roots, n, k, lam):
+    """n pi / sqrt(lam - lam0) and the factors (roots_m - lam) / varsigma_m(lam)
+    of every open gap m != k, one row each, at real points lam of gap k."""
+    open_ns = [m for m in spec.open_indices() if m != k]
+    pref = n * math.pi / np.sqrt(lam - spec.lam0)
+    if not open_ns:
+        return pref, np.ones((0, lam.size))
+    vs = _varsigma(spec.tau[open_ns][:, None], spec.gamma[open_ns][:, None], lam[None, :])
+    return pref, (roots[open_ns][:, None] - lam[None, :]) / vs
+
+
+def psi_quotient_on_gap(spec, psi, k, lam):
+    """g_nk(lam) = psi_n(lam) varsigma_k(lam) / (i sqrt_c(Delta^2 - 4)(lam)) at
+    real lam in gap k, one gap at a time: the gap-k integrand with its
+    1/varsigma_k removed, real on the gap."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=spec.tau.dtype))
+    pref, fac = _quotient_factors(spec, psi.sigma, psi.n, k, lam)
+    g = pref * np.prod(fac, axis=0)
+    if k != psi.n:
+        g = g * (psi.sigma[k] - lam)
+    # solved prefactor (2/(n pi))(1 + rho) folds in as (1 + rho)
+    return (1.0 + psi.rho) * g
+
+
+def chi_on_gap(spec, n, lam):
+    """chi_n(lam) = n pi / sqrt(lam - lam0) prod_{open m != n} (lam_m^* - lam)
+    / varsigma_m(lam) at real lam in gap n (or at tau_n of a collapsed n)."""
+    pref, fac = _quotient_factors(spec, spec.lambda_dot, n, n, lam)
+    return pref * np.prod(fac, axis=0)
+
+
+def canonical_root(spec, lam):
+    """Canonical root of Delta^2 - 4 at lam off the open gaps, normalized by
+    i * root > 0 on the band (lam_0^+, lam_1^-):
+
+        -2i sqrt(lam - lam0) prod_{m <= N} varsigma_m(lam) / (m^2 pi^2)
+            * prod_{m > N} (1 - lam / (m^2 pi^2)),
+
+    the gaps past the truncation taken as collapsed at m^2 pi^2. The last
+    product is a sum of logs through m = J plus its Euler-Maclaurin tail. On
+    the cut (-infty, lam_0^+] the principal branch gives the upper-side limit;
+    inside an open gap the value has no side and is not the root."""
+    scalar = np.ndim(lam) == 0
+    lam = np.atleast_1d(np.asarray(lam)).astype(complex)
+    tau, gamma = (a[1:].astype(float)[:, None] for a in (spec.tau, spec.gamma))
+    m2 = (np.arange(1, spec.N + 1)[:, None] * math.pi) ** 2
+    head = np.prod(_varsigma(tau, gamma, lam[None, :]) / m2, axis=0)
+    J = max(64, int(10.0 * math.sqrt(np.max(np.abs(lam))) / math.pi) + spec.N + 8)
+    js = np.arange(spec.N + 1, J + 1)[:, None]
+    log_tail = np.sum(np.log1p(-lam[None, :] / (js * math.pi) ** 2), axis=0)
+    for k in range(1, 4):           # sum_{j > J} log(1 - x_j), x_j = lam / (j pi)^2
+        log_tail -= (lam / math.pi ** 2) ** k / k * zeta_tail(J + 1, k)
+    out = -2j * np.sqrt(lam - float(spec.lam0)) * head * np.exp(log_tail)
+    return complex(out[0]) if scalar else out
+
+
 def floquet_F_on_gap(q, spec, n, t, side="minus", tol=None):
     """Normalized Floquet exponent F_n at lam_t on one side of gap n, by
     shooting.
@@ -177,11 +246,11 @@ def floquet_F_on_gap(q, spec, n, t, side="minus", tol=None):
     if not spec.open_gap[n]:
         raise ValidationError(f"gap {n} is collapsed; F_n has no gap side there")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    ct = R.gap_contour(spec, n, t)
+    lam = gap_nodes(spec, n, t)
     tol = spec.ode_tol if tol is None else tol
-    d = discriminant_batch(q, ct.lam.astype(spec.tau.dtype), tol)
+    d = discriminant_batch(q, lam, tol)
     arg = ((-1.0) ** n) * np.asarray(d["delta"], dtype=float) / 2.0
-    noise = _delta_noise(float(np.max(np.abs(ct.lam))), tol,
+    noise = _delta_noise(float(np.max(np.abs(lam))), tol,
                          float(np.finfo(spec.tau.dtype).eps))
     bad = arg < 1.0 - max(1e-12, 5.0 * noise)
     if np.any(bad):
@@ -203,8 +272,7 @@ def moment_without_shortcircuit(spec, psi, k, m):
     """
     if not spec.open_gap[k]:
         return 0.0
-    lam = R.gap_contour(spec, k).lam.astype(spec.tau.dtype)
-    g = np.asarray(R.psi_quotient_on_gap(spec, psi, k, lam), dtype=float)
+    g = np.asarray(psi_quotient_on_gap(spec, psi, k, gap_nodes(spec, k)), dtype=float)
     Fm = np.asarray(inv._F_table(spec)[k], dtype=float)
     side_minus = (math.pi / NODES) * np.sum(Fm ** m * g)
     side_plus = (math.pi / NODES) * np.sum((-Fm) ** m * g)
@@ -240,7 +308,7 @@ def _gap_products(tau, gamma, roots, lam0, t):
 
 def condition_integral_per_gap(spec, psi, k):
     """``roots.condition_integral`` on an open gap k, per gap."""
-    g = R.psi_quotient_on_gap(spec, psi, k, R.gap_contour(spec, k).lam)
+    g = psi_quotient_on_gap(spec, psi, k, gap_nodes(spec, k))
     return float(np.sum(g) / NODES)
 
 
@@ -347,10 +415,10 @@ def moments_per_gap(spec, psis, N, K=None):
     t = R.cheb_nodes(NODES)
     root_w = np.sqrt(1.0 - t * t)
     for k in [k for k in spec.open_indices() if k <= K]:
-        lam = R.gap_contour(spec, k, t).lam.astype(spec.tau.dtype)
+        lam = gap_nodes(spec, k, t)
         F2 = np.asarray(Fv[k], dtype=float) ** 2
         for n in range(1, N + 1):
-            g = np.asarray(R.psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
+            g = np.asarray(psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
             om2[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * g))
             om4[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * F2 * g))
         gk = float(spec.gamma[k])
@@ -362,10 +430,9 @@ def moments_per_gap(spec, psis, N, K=None):
 
 def _action_ratio(spec, n, nodes):
     if not spec.open_gap[n]:
-        return float(inv._chi_values(spec, n, np.atleast_1d(spec.tau[n]))[0])
+        return float(chi_on_gap(spec, n, np.atleast_1d(spec.tau[n]))[0])
     t = R.cheb_nodes(nodes)
-    ct = R.gap_contour(spec, n, t)
-    chi = inv._chi_values(spec, n, ct.lam.astype(spec.tau.dtype))
+    chi = chi_on_gap(spec, n, gap_nodes(spec, n, t))
     t_n = 2.0 * float(spec.lambda_dot[n] - spec.tau[n]) / float(spec.gamma[n])
     return float(2.0 * np.sum((t - t_n) ** 2 * chi) / nodes)
 

@@ -21,10 +21,10 @@ from kdvfreq import hill
 from kdvfreq import invariants as inv
 from kdvfreq.hill import NODES, _varsigma
 from kdvfreq.potentials import cosine_sum, make_potential, rough_profile, single_mode
-from kdvfreq.roots import gap_contour, psi_quotient_on_gap, psi_solve
+from kdvfreq.roots import psi_solve
 
-from oracles import (action_vector_per_gap, moments_per_gap, psi_newton_per_gap,
-                     psi_solve_per_gap)
+from oracles import (action_vector_per_gap, gap_nodes, moments_per_gap,
+                     psi_newton_per_gap, psi_quotient_on_gap, psi_solve_per_gap)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -85,8 +85,7 @@ def test_psi_node_values_match_per_gap_bit_for_bit(case):
     for n, psi in psis.items():
         assert psi.node_values.shape == (len(spec.open_indices()), NODES), n
         for i, k in enumerate(spec.open_indices()):
-            lam = gap_contour(spec, k).lam.astype(spec.tau.dtype)
-            want = psi_quotient_on_gap(spec, psi, k, lam)
+            want = psi_quotient_on_gap(spec, psi, k, gap_nodes(spec, k))
             assert np.array_equal(psi.node_values[i], want), (n, k)
 
 

@@ -7,9 +7,8 @@ from kdvfreq import hill
 from kdvfreq._dop853 import integrate_hill
 from kdvfreq.hill import discriminant, discriminant_batch, periodic_spectrum
 from kdvfreq.potentials import cosine_sum, evaluate, make_potential, single_mode
-from kdvfreq.roots import canonical_root
 
-from oracles import fd_transfer_discriminant, hill_matrix_eigenvalues
+from oracles import canonical_root, fd_transfer_discriminant, hill_matrix_eigenvalues
 
 
 def test_discriminant_free():

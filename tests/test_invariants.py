@@ -7,7 +7,7 @@ from kdvfreq import invariants as inv
 from kdvfreq.errors import ValidationError
 from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
                                 make_potential, single_mode)
-from kdvfreq.roots import condition_integral, gap_contour, psi_solve
+from kdvfreq.roots import condition_integral, psi_solve
 
 from oracles import (moment_without_shortcircuit, r_moment_without_shortcircuit,
                      rectangle_action)
@@ -57,8 +57,6 @@ def test_gap_index_outside_the_spectrum_rejected(k):
     spec = inv.spectrum_for(cosine_sum([(1, 0.2), (2, 0.2)]), 12)
     assert spec.N == 12
     psi = psi_solve(spec, 1)
-    with pytest.raises(ValidationError, match="outside spectrum range 1..12"):
-        gap_contour(spec, k)
     with pytest.raises(ValidationError, match="outside spectrum range 1..12"):
         condition_integral(spec, psi, k)
 
@@ -301,6 +299,26 @@ def test_cold_kdv2_jacobian_equals_warm():
     for a, b in ((warm.jac, cold.jac), (warm.sym_eigs, cold.sym_eigs),
                  (warm.I_base, cold.I_base)):
         assert np.array_equal(a, b)
+
+
+def _no_report(u, N):
+    raise AssertionError("a report was made before the arguments were checked")
+
+
+@pytest.mark.parametrize("which", ["kdv3", "KdV", ""])
+def test_jacobian_rejects_unknown_which(monkeypatch, which):
+    # "kdv3" used to return the KdV2 Jacobian
+    monkeypatch.setattr(inv, "_family_point", _no_report)
+    with pytest.raises(ValidationError, match="which must be 'kdv' or 'kdv2'"):
+        inv.frequency_jacobian(which=which, **MEMO_JAC)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_jacobian_rejects_zero_or_nonfinite_step(monkeypatch, h):
+    # h = 0 used to end in an SVD that did not converge
+    monkeypatch.setattr(inv, "_family_point", _no_report)
+    with pytest.raises(ValidationError, match="finite and nonzero"):
+        inv.frequency_jacobian(which="kdv", **dict(MEMO_JAC, h=h))
 
 
 def test_family_memo_misses_on_N_and_on_one_coefficient():

@@ -149,6 +149,20 @@ def test_grid_validation():
         pde.evolve(single_mode(1, 0.1), 0.01, "heat")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(T=-0.01), dict(T=0.0), dict(T=math.inf), dict(T=math.nan),
+    dict(dt=-1e-5), dict(dt=0.0), dict(dt=math.inf), dict(dt=math.nan),
+    dict(stride=0), dict(stride=-1),
+])
+def test_step_validation(bad):
+    # a negative dt used to take one step of T, a negative T to run backward,
+    # and stride 0 to divide by zero
+    args = dict(T=0.05, dt=1e-5, stride=None) | bad
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        pde.evolve(single_mode(1, 0.05), args["T"], "kdv", dt=args["dt"],
+                   stride=args["stride"])
+
+
 def test_kdv2_conservation_stated_horizon():
     # H0 drift <= 1e-7 over T = 0.01 for a small potential
     q = single_mode(1, 0.05)
