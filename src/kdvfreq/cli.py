@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -49,12 +50,24 @@ def _dump_json(obj) -> str:
     return json.dumps(str(obj))
 
 
-def _write(out: str | None, text: str):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or the file `out` opened for writing. Commands open it only
+    after their work is done, so a bad input never truncates the file."""
     if out is None or out == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out}: {exc}") from exc
+    with fh:
+        yield fh
+
+
+def _write(out: str | None, text: str):
+    with _output(out) as fh:
+        fh.write(text + "\n")
 
 
 def _csv(headers, rows) -> str:
@@ -251,19 +264,20 @@ def _cmd_flow_exp(args):
 def _cmd_evolve(args):
     q = _load_potential(args.potential)
     traj = pde.evolve(q, args.T, args.eq, dt=args.dt, M=args.Mgrid, stride=args.stride)
-    _write(args.out, _trajectory_lines(traj.times, traj.states))
+    with _output(args.out) as fh:
+        for line in _trajectory_lines(traj.times, traj.states):
+            fh.write(line + "\n")
     return 0 if not traj.aborted else 3
 
 
-def _trajectory_lines(times, states) -> str:
-    """One JSON object {"t", "modes": [[re, im], ...]} per sample, the same
-    bytes that _dump_json gives, without its per-value dispatch."""
-    lines = []
-    for t, row in zip(times.tolist(), np.ascontiguousarray(states).view(float).tolist()):
+def _trajectory_lines(times, states):
+    """Yield one JSON object {"t", "modes": [[re, im], ...]} per sample, the
+    same bytes that _dump_json gives, without its per-value dispatch."""
+    for t, row in zip(times.tolist(), np.ascontiguousarray(states).view(float)):
+        row = row.tolist()      # one sample's floats at a time, not the whole run's
         modes = ", ".join(f"[{_json_float(re)}, {_json_float(im)}]"
                           for re, im in zip(row[::2], row[1::2]))
-        lines.append(f'{{"t": {_json_float(t)}, "modes": [{modes}]}}')
-    return "\n".join(lines)
+        yield f'{{"t": {_json_float(t)}, "modes": [{modes}]}}'
 
 
 def _cmd_crosscheck(args):

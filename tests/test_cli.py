@@ -1,11 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kdvfreq import invariants
+from kdvfreq import invariants, pde
 from kdvfreq.cli import _dump_json, _trajectory_lines, main
-from kdvfreq.potentials import potential_to_json, single_mode
+from kdvfreq.potentials import cosine_sum, potential_from_json, potential_to_json, single_mode
+
+
+def refuse(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture()
@@ -138,13 +143,35 @@ def test_flow_exp_csv(capsys):
     assert len(lines) == 8
 
 
-def test_evolve_jsonl(capsys, pot_file):
-    code, out = run(capsys, ["evolve", "--potential", pot_file, "--eq", "airy",
-                             "--T", "0.001", "--dt", "1e-4", "--Mgrid", "32",
-                             "--stride", "5"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    first = json.loads(lines[0])
+def _sample_lines(traj):
+    """The reference bytes of an evolve run: one _dump_json line per sample."""
+    return "".join(_dump_json({"t": float(t),
+                               "modes": [[float(v.real), float(v.imag)] for v in row]}) + "\n"
+                   for t, row in zip(traj.times, traj.states))
+
+
+def _check_evolve_output(capsys, tmp_path, argv, traj, code_want):
+    """stdout of `argv` is the _dump_json line of each sample of `traj`, each
+    line is strict JSON, and --out FILE writes the same bytes."""
+    code, out = run(capsys, argv)
+    assert code == code_want
+    assert traj.aborted == (code_want == 3)
+    assert out == _sample_lines(traj)
+    for line in out.splitlines():
+        json.loads(line, parse_constant=refuse)
+    out_path = tmp_path / "traj.jsonl"
+    code, stdout = run(capsys, argv + ["--out", str(out_path)])
+    assert (code, stdout) == (code_want, "")
+    assert out_path.read_bytes() == out.encode()
+    return out
+
+
+def test_evolve_jsonl(capsys, tmp_path, pot_file):
+    argv = ["evolve", "--potential", pot_file, "--eq", "airy", "--T", "0.001",
+            "--dt", "1e-4", "--Mgrid", "32", "--stride", "5"]
+    traj = pde.evolve(single_mode(1, 0.05), 1e-3, "airy", dt=1e-4, M=32, stride=5)
+    out = _check_evolve_output(capsys, tmp_path, argv, traj, 0)
+    first = json.loads(out.splitlines()[0])
     assert first["t"] == 0
     assert len(first["modes"]) == 32
 
@@ -157,13 +184,66 @@ def test_trajectory_lines_match_dump_json():
     want = "\n".join(_dump_json({"t": float(t),
                                  "modes": [[float(v.real), float(v.imag)] for v in row]})
                      for t, row in zip(times, states))
-    assert _trajectory_lines(times, states) == want
+    assert "\n".join(_trajectory_lines(times, states)) == want
     assert "null" in want
-
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
     for line in want.splitlines():
         json.loads(line, parse_constant=refuse)
+
+
+ONE_MODE = '{"mean": 0.0, "modes": [{"n": 1, "re": 0.05, "im": 0.0}]}'
+HUGE = '{"mean": 0.0, "modes": [{"n": 1, "re": 1e200, "im": 0.0}]}'
+
+
+@pytest.mark.parametrize("pot, flags, kw, code_want", [
+    (ONE_MODE, ["--Mgrid", "32", "--T", "0.001", "--dt", "1e-4"],
+     dict(T=1e-3, M=32, dt=1e-4), 0),
+    (HUGE, ["--T", "0.001"], dict(T=1e-3), 3),
+], ids=["kdv", "aborted"])
+def test_evolve_stdout_and_out_file_match_samples(capsys, tmp_path, pot, flags, kw, code_want):
+    path = tmp_path / "q.json"
+    path.write_text(pot)
+    traj = pde.evolve(potential_from_json(pot), **kw)
+    _check_evolve_output(capsys, tmp_path, ["evolve", "--potential", str(path)] + flags,
+                         traj, code_want)
+
+
+class _Writes:
+    """A stdout that records the text of every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_evolve_streams_one_line_at_a_time(tmp_path, monkeypatch):
+    # the perfbench cli evolve: KdV at the default M = 256 to T = 0.01, 501 samples
+    q = cosine_sum([(1, 0.1), (2, 0.06), (3, 0.04)])
+    traj = pde.evolve(q, 0.01, "kdv")
+    assert traj.states.shape == (501, 256) and not traj.aborted
+
+    tracemalloc.start()
+    try:
+        for _ in _trajectory_lines(traj.times, traj.states):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20       # the whole output as one string is about 4.7 MB
+
+    path = tmp_path / "q.json"
+    path.write_text(ONE_MODE)
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["evolve", "--potential", str(path), "--Mgrid", "32", "--T", "0.001",
+                 "--dt", "1e-4"]) == 0
+    longest = max(map(len, "".join(stdout.writes).splitlines()))
+    assert all(w.count("\n") <= 1 and len(w) <= longest + 1 for w in stdout.writes)
 
 
 def test_crosscheck_report(capsys, pot_file):
@@ -306,6 +386,34 @@ def test_output_file(tmp_path, pot_file, capsys):
                            "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["N"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "2"],
+    ["freq", "--n", "1"],
+    ["evolve", "--eq", "airy", "--T", "0.001", "--Mgrid", "32"],
+])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_exit_2(capsys, tmp_path, pot_file, argv, where):
+    out_path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code = main(argv + ["--potential", pot_file, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot write output file" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--N", "0"],
+    ["evolve", "--eq", "airy", "--T", "-1"],
+])
+def test_out_file_untouched_on_bad_input(capsys, tmp_path, pot_file, argv):
+    out_path = tmp_path / "keep.txt"
+    out_path.write_text("earlier output\n")
+    code = main(argv + ["--potential", pot_file, "--out", str(out_path)])
+    capsys.readouterr()
+    assert code == 2
+    assert out_path.read_text() == "earlier output\n"
 
 
 def test_freq_longdouble(capsys, pot_file):
