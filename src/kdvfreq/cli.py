@@ -3,6 +3,8 @@
 Output is deterministic: fixed field order, floats printed with 17
 significant digits, so identical inputs give byte-identical files.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Each command imports the package modules it calls, so a process loads only
+the layers of the command it runs.
 """
 from __future__ import annotations
 
@@ -14,9 +16,7 @@ import sys
 
 import numpy as np
 
-from . import bnf, flow, invariants, pde, seqspace
 from .errors import NumericalError, ValidationError
-from .hill import periodic_spectrum
 from .potentials import potential_from_json
 
 __all__ = ["main"]
@@ -125,6 +125,7 @@ def _dtype(args):
 
 
 def _cmd_spectrum(args):
+    from .hill import periodic_spectrum
     q = _spectral_potential(args)
     spec = periodic_spectrum(q, args.N, dtype=_dtype(args))
     if args.format == "json":
@@ -140,6 +141,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_actions(args):
+    from . import invariants
     q = _spectral_potential(args)
     spec = invariants.spectrum_for(q.drop_mean(), args.N, dtype=_dtype(args))
     acts = invariants.action_vector(spec, N=args.N)
@@ -156,6 +158,7 @@ def _cmd_actions(args):
 
 
 def _cmd_freq(args):
+    from . import invariants
     q = _spectral_potential(args)
     ns = _parse_range(args.n) if args.n else list(range(1, args.N + 1))
     if min(ns) < 1:
@@ -181,6 +184,7 @@ def _cmd_freq(args):
 
 
 def _cmd_hamiltonians(args):
+    from . import invariants
     u = _spectral_potential(args)
     spec = invariants.spectrum_for(u.drop_mean(), args.N, dtype=_dtype(args))
     h = invariants.hamiltonians(spec)
@@ -194,6 +198,7 @@ def _cmd_hamiltonians(args):
 
 
 def _cmd_bnf(args):
+    from . import bnf
     I = {}
     if args.I:
         for i, v in enumerate(args.I.split(",")):
@@ -207,6 +212,7 @@ def _cmd_bnf(args):
 
 
 def _cmd_resonance(args):
+    from . import bnf
     A = _parse_range(args.A)
     offenders = bnf.resonance_scan(A, args.c, args.Kmax, args.window)
     obj = {"A": A, "c": args.c, "Kmax": args.Kmax, "window": args.window,
@@ -217,6 +223,7 @@ def _cmd_resonance(args):
 
 
 def _cmd_seqtest(args):
+    from . import seqspace
     if args.samples < 1:
         raise ValidationError("--samples must be at least 1")
     rng = np.random.default_rng(args.seed)
@@ -246,6 +253,7 @@ def _cmd_seqtest(args):
 
 
 def _cmd_flow_exp(args):
+    from . import flow
     ms = _parse_range(args.m)
     if args.which == "kdv":
         rows, du = flow.kdv_continuity_experiment(args.sigma, args.t, args.delta, ms)
@@ -262,6 +270,7 @@ def _cmd_flow_exp(args):
 
 
 def _cmd_evolve(args):
+    from . import pde
     q = _load_potential(args.potential)
     traj = pde.evolve(q, args.T, args.eq, dt=args.dt, M=args.Mgrid, stride=args.stride)
     with _output(args.out) as fh:
@@ -281,6 +290,7 @@ def _trajectory_lines(times, states):
 
 
 def _cmd_crosscheck(args):
+    from . import invariants, pde
     q = _load_potential(args.potential)
     n = int(args.n)
     if n < 1:

@@ -25,6 +25,7 @@ carries and ``invariants.moments`` reads.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,16 +80,28 @@ def gap_F_integrated(spec: HillSpectrum) -> dict[int, np.ndarray]:
     if not ks.size:
         return {}
     dtype = spec.tau.dtype.type
+    m, cos_mt, sin_mt = _fourier_tables(dtype)
+    block = spec._block
+    prod = block.products(spec.lambda_dot[ks]) / block.root
+    f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
+    a = (f @ cos_mt.T) * (dtype(2) / NODES)             # cosine coefficients
+    F = (a / m) @ sin_mt
+    return {int(k): F[i] for i, k in enumerate(ks)}
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_tables(dtype):
+    """m = 1..NODES-1 and the (NODES-1, NODES) tables cos(m theta) and
+    sin(m theta) at the nodes of ``gap_F_integrated``, in dtype (float64 or
+    long double), read-only: they depend on nothing else."""
     pi = _LPI if dtype == np.longdouble else np.pi
     theta = pi * (2 * np.arange(NODES, 0, -1, dtype=dtype) - 1) / (2 * NODES)
     m = np.arange(1, NODES, dtype=dtype)
     mt = np.multiply.outer(m, theta)
-    block = spec._block
-    prod = block.products(spec.lambda_dot[ks]) / block.root
-    f = (spec.lambda_dot[ks][:, None] - block.lam) * prod / 2    # chi_k = k pi prod
-    a = (f @ np.cos(mt).T) * (dtype(2) / NODES)         # cosine coefficients
-    F = (a / m) @ np.sin(mt)
-    return {int(k): F[i] for i, k in enumerate(ks)}
+    tables = m, np.cos(mt), np.sin(mt)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdvfreq
 from kdvfreq import invariants, pde
 from kdvfreq.cli import _dump_json, _trajectory_lines, main
 from kdvfreq.potentials import cosine_sum, potential_from_json, potential_to_json, single_mode
@@ -422,3 +427,62 @@ def test_freq_longdouble(capsys, pot_file):
     assert code == 0
     header = out.splitlines()[0].split(",")
     assert "omega2_star" in header
+
+
+# ---------------------------------------------------------------------------
+# import footprint: each fresh process loads only the modules its command calls
+
+_PROBE = """
+import contextlib, io, sys
+{code}
+print(" ".join(sorted(m[len("kdvfreq."):] for m in sys.modules
+                      if m.startswith("kdvfreq."))), file=sys.stderr)
+"""
+_RUN = """
+from kdvfreq.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+"""
+_CLI = {"cli", "errors", "potentials"}
+_HILL = {"hill", "_dop853"}
+_PIPELINE = _HILL | {"roots", "invariants"}
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """The kdvfreq submodules that `code` leaves loaded in a fresh interpreter."""
+    src = str(Path(kdvfreq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(code=code), *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_package_loads_no_submodule():
+    assert loaded_modules("import kdvfreq") == set()
+
+
+def test_import_cli_loads_errors_and_potentials_only():
+    assert loaded_modules("import kdvfreq.cli") == _CLI
+
+
+# flags of each perfbench `cli` command, and the modules it adds to those of
+# `kdvfreq.cli`
+_COMMAND_LAYERS = {
+    "spectrum": (["--N", "4", "--potential", "{pot}"], _HILL),
+    "actions": (["--N", "4", "--potential", "{pot}"], _PIPELINE),
+    "freq": (["--n", "1..4", "--potential", "{pot}"], _PIPELINE),
+    "hamiltonians": (["--N", "4", "--potential", "{pot}"], _PIPELINE),
+    "evolve": (["--eq", "kdv", "--T", "0.001", "--potential", "{pot}"], _HILL | {"pde"}),
+    "resonance": (["--A", "1,2", "--Kmax", "2", "--window", "4"], {"bnf"}),
+    "seqtest": (["--samples", "5", "--seed", "3"], {"seqspace"}),
+    "flow-exp": (["--which", "kdv", "--m", "3..4"], {"flow"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LAYERS))
+def test_command_loads_only_its_layers(pot_file, command):
+    flags, layers = _COMMAND_LAYERS[command]
+    argv = [flag.format(pot=pot_file) for flag in flags]
+    assert loaded_modules(_RUN, command, *argv) == _CLI | layers
