@@ -2,8 +2,9 @@
 
 The resonance scanner decides k.lambda != 0 or (Ck)_A != 0 in exact integer
 arithmetic on the pi^2 coefficient lattice; the singular mean values of the
-quadratic form come from a rank-one determinant formula; the discrete
-Hilbert-type operators satisfy their bounds on random samples.
+quadratic form come from one symmetric eigensolve, and the rank-one
+determinant formula checks them; the discrete Hilbert-type operators
+satisfy their bounds on random samples.
 """
 import math
 

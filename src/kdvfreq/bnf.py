@@ -100,15 +100,22 @@ def bnf_predict(I, c: float, which: str, nmax: int | None = None):
 # ---------------------------------------------------------------------------
 # nondegeneracy
 
+def _index_set(A) -> list[int]:
+    A = [int(a) for a in A]
+    if not A:
+        raise ValidationError("index set A must be nonempty")
+    if min(A) < 1 or len(set(A)) != len(A):
+        raise ValidationError(f"indices in A must be distinct and at least 1, got {A}")
+    return A
+
+
 def det_CA(c: float, A) -> float:
     """det C_A^(2) by the rank-one update formula (no generic determinant).
 
     C_A = D - B with D_i = 80 pi^2 i^2 + 60c diagonal and B_ij = 80 pi^2 i j
     of rank one, so det C_A = det D - sum_i B_ii prod_{j != i} D_j.
     """
-    A = [int(a) for a in A]
-    if not A:
-        raise ValidationError("index set A must be nonempty")
+    A = _index_set(A)
     D = [80.0 * math.pi ** 2 * i * i + 60.0 * c for i in A]
     det_D = math.prod(D)
     corr = 0.0
@@ -127,51 +134,13 @@ def _det_scale(c: float, A) -> float:
 def singular_set(A) -> list[float]:
     """Mean values c at which det C_A^(2) vanishes, sorted increasing.
 
-    Singletons give {0}; for |A| >= 2 there is one root between consecutive
-    poles -4 pi^2 i^2 / 3 and one positive root, located by bisection.
+    C_A^(2)(c) = 60c I + C_A^(2)(0), so they are -mu/60 over the eigenvalues
+    mu of the symmetric C_A^(2)(0) (Golub's rank-one-modified eigenproblem):
+    {0} for a singleton, and for |A| >= 2 one root between consecutive poles
+    -4 pi^2 i^2 / 3 and one positive root.
     """
-    A = sorted(int(a) for a in A)
-    if not A:
-        raise ValidationError("index set A must be nonempty")
-    if len(A) == 1:
-        return [0.0]
-
-    fs = [3.0 / (4.0 * math.pi ** 2 * i * i) for i in A]
-
-    def g(c):
-        return sum(1.0 / (1.0 + c * f) for f in fs) - 1.0
-
-    def bisect(lo, hi):
-        glo, ghi = g(lo), g(hi)
-        if glo * ghi > 0:
-            raise NumericalError("singular-set bracket lost a sign change")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if gm * glo <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-            if hi - lo < 1e-10 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (lo + hi)
-
-    poles = sorted(-1.0 / f for f in fs)     # increasing: -4pi^2 i_n^2/3 < ... < -4pi^2 i_1^2/3
-    roots = []
-    for lo_p, hi_p in zip(poles[:-1], poles[1:]):
-        pad = 1e-9 * (hi_p - lo_p)
-        roots.append(bisect(lo_p + pad, hi_p - pad))
-    hi = 10.0 * abs(poles[0])
-    while g(hi) > 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise NumericalError("positive singular root not bracketed")
-    roots.append(bisect(1e-12, hi))
-    roots.sort()
-    if len(roots) != len(A):
-        raise NumericalError(
-            f"found {len(roots)} singular values for |A| = {len(A)}")
-    return roots
+    mu = np.linalg.eigvalsh(c_matrix("kdv2", 0.0, _index_set(A)))
+    return sorted(0.0 - v / 60.0 for v in mu.tolist())     # 0.0 - keeps {+0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -108,6 +109,10 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return v
 
+
+# argparse takes "-1e-2" for a flag, since its own pattern knows only -1 and
+# -.5; this one reads every negative decimal float as a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # Flags shared by several subcommands; each subcommand declares only the
 # ones its handler reads.
@@ -256,14 +261,10 @@ def _cmd_flow_exp(args):
     from . import flow
     ms = _parse_range(args.m)
     if args.which == "kdv":
-        rows, du = flow.kdv_continuity_experiment(args.sigma, args.t, args.delta, ms)
-        thresh = du / 2.0
-    elif args.which == "kdv2-hs":
-        rows, du, thresh = flow.kdv2_continuity_experiment(
-            args.sigma, args.t, "hs", args.delta, ms)
+        rows = flow.kdv_continuity_experiment(args.sigma, args.t, args.delta, ms)[0]
     else:
-        rows, du, thresh = flow.kdv2_continuity_experiment(
-            args.sigma, args.t, "level-set", args.delta, ms)
+        variant = "hs" if args.which == "kdv2-hs" else "level-set"
+        rows = flow.kdv2_continuity_experiment(args.sigma, args.t, variant, args.delta, ms)[0]
     table = [(r.m, r.input_gap, r.output_gap, r.verdict) for r in rows]
     _write(args.out, _csv(("m", "input_gap", "output_gap", "verdict"), table))
     return 0
@@ -316,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, *shared):
         # no prefix matching: `freq --n 1 --dump` must not quietly set --dump-moments
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in shared:
             p.add_argument("--" + flag, **_SHARED[flag])
         p.add_argument("--out", default=None)

@@ -75,9 +75,9 @@ def flow_map(state: BirkhoffState, t: float, freq) -> BirkhoffState:
     omega_{-n} = -omega_n. |z_n| is preserved exactly.
 
     ``freq`` maps the state to {n: omega_n} for the positive modes in its
-    support (a plain dict is accepted too).
+    support.
     """
-    om = freq(state) if callable(freq) else freq
+    om = freq(state)
     out = {}
     for n, v in state.z.items():
         w = om[abs(n)]
@@ -86,36 +86,22 @@ def flow_map(state: BirkhoffState, t: float, freq) -> BirkhoffState:
     return BirkhoffState(out)
 
 
-def kdv_star_frequencies():
+def kdv_star_frequencies(state) -> dict[int, float]:
     """omega*_n(z) = -6 I_n (the pure model)."""
-    def freq(state):
-        out = {}
-        for n in state.support():
-            out[n] = -6.0 * state.action(n)
-        return out
-    return freq
+    return {n: -6.0 * state.action(n) for n in state.support()}
 
 
-def kdv_full_frequencies():
+def kdv_full_frequencies(state) -> dict[int, float]:
     """omega_n(z) = (2 n pi)^3 - 6 I_n (small supports only)."""
-    def freq(state):
-        out = {}
-        for n in state.support():
-            out[n] = (2.0 * n * math.pi) ** 3 - 6.0 * state.action(n)
-        return out
-    return freq
+    return {n: (2.0 * n * math.pi) ** 3 - 6.0 * state.action(n)
+            for n in state.support()}
 
 
-def kdv2_star_frequencies():
+def kdv2_star_frequencies(state) -> dict[int, float]:
     """omega*_n(z) = 40 n pi H0(z) - 80 n^2 pi^2 I_n (the pure model)."""
-    def freq(state):
-        H0 = state.H0()
-        out = {}
-        for n in state.support():
-            out[n] = 40.0 * n * math.pi * H0 \
-                - 80.0 * n * n * math.pi ** 2 * state.action(n)
-        return out
-    return freq
+    H0 = state.H0()
+    return {n: 40.0 * n * math.pi * H0 - 80.0 * n * n * math.pi ** 2 * state.action(n)
+            for n in state.support()}
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +114,31 @@ class DivergenceRow:
     output_gap: float
     designated: bool
     verdict: str
+
+
+def _identical(ms) -> list[DivergenceRow]:
+    """delta = 0: the two members of every pair coincide."""
+    return [DivergenceRow(int(m), 0.0, 0.0, False, "identical") for m in ms]
+
+
+def _rows(ms, k, norm_s, t, freq, thresh, states) -> list[DivergenceRow]:
+    """One row per stage m: the pair (p, q) = states(m, 2^m) compared in the
+    H^norm_s norm before and after the flow for time t. A stage where
+    states gives None cannot be built and reads NaN, "inconclusive". The
+    designated stages are m = (2j+1)k."""
+    rows = []
+    for m in ms:
+        m = int(m)
+        pair = states(m, 2 ** m)
+        if pair is None:
+            rows.append(DivergenceRow(m, math.nan, math.nan, False, "inconclusive"))
+            continue
+        p, q = pair
+        inp = p.diff_norm(q, norm_s)
+        out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), norm_s)
+        verdict = "separated" if out >= thresh else "inconclusive"
+        rows.append(DivergenceRow(m, inp, out, m % (2 * k) == k, verdict))
+    return rows
 
 
 def kdv_continuity_experiment(sigma: float, t: float, delta: float,
@@ -145,23 +156,17 @@ def kdv_continuity_experiment(sigma: float, t: float, delta: float,
     if t <= 0:
         raise ValidationError("t must be positive")
     if delta == 0:
-        return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical") for m in ms], 0.0)
+        return _identical(ms), 0.0
     k = max(1, math.ceil(math.pi / (6.0 * t * delta * delta)))
     delta_used = math.sqrt(math.pi / (6.0 * t * k))
-    freq = kdv_star_frequencies()
-    rows = []
-    for m in ms:
-        m = int(m)
-        nm = 2 ** m
+
+    def states(m, nm):
         a = delta_used * float(nm) ** sigma
-        p = BirkhoffState({nm: a, -nm: a})
-        q = BirkhoffState({nm: complex(a, delta_used * math.sqrt(m)),
-                           -nm: complex(a, -delta_used * math.sqrt(m))})
-        inp = p.diff_norm(q, -sigma)
-        out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), -sigma)
-        designated = (m % (2 * k) == k)
-        verdict = "separated" if out >= delta_used / 2.0 else "inconclusive"
-        rows.append(DivergenceRow(m, inp, out, designated, verdict))
+        b = delta_used * math.sqrt(m)
+        return (BirkhoffState({nm: a, -nm: a}),
+                BirkhoffState({nm: complex(a, b), -nm: complex(a, -b)}))
+
+    rows = _rows(ms, k, -sigma, t, kdv_star_frequencies, delta_used / 2.0, states)
     return rows, delta_used
 
 
@@ -180,62 +185,40 @@ def kdv2_continuity_experiment(sigma: float, t: float, variant: str,
         raise ValidationError("t must be positive")
     if variant not in ("hs", "level-set"):
         raise ValidationError("variant must be 'hs' or 'level-set'")
-    freq = kdv2_star_frequencies()
-    rows = []
-    if variant == "hs":
-        if sigma < 1.0:
-            raise ValidationError("hs variant requires sigma >= 1")
-        if delta == 0:
-            return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical")
-                     for m in ms], 0.0, 0.0)
-        k = max(1, math.ceil(1.0 / (80.0 * math.pi * t * delta * delta)))
-        delta_used = 1.0 / math.sqrt(80.0 * math.pi * t * k)
-        thresh = delta_used / 2.0
-        for m in ms:
-            m = int(m)
-            nm = 2 ** m
-            tail = delta_used * float(nm) ** (-sigma)
-            p1 = delta_used * math.sqrt(m) / math.sqrt(float(nm))
-            p = BirkhoffState({1: p1, -1: p1, nm: tail, -nm: tail})
-            q = BirkhoffState({1: 0.0, -1: 0.0, nm: tail, -nm: tail})
-            inp = p.diff_norm(q, sigma)
-            out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), sigma)
-            designated = (m % (2 * k) == k)
-            verdict = "separated" if out >= thresh else "inconclusive"
-            rows.append(DivergenceRow(m, inp, out, designated, verdict))
-        return rows, delta_used, thresh
-    # level-set variant
-    if not 0.5 <= sigma < 1.0:
+    if variant == "hs" and sigma < 1.0:
+        raise ValidationError("hs variant requires sigma >= 1")
+    if variant == "level-set" and not 0.5 <= sigma < 1.0:
         raise ValidationError("level-set variant requires 1/2 <= sigma < 1")
     if delta == 0:
-        return ([DivergenceRow(int(m), 0.0, 0.0, False, "identical")
-                 for m in ms], 0.0, 0.0)
+        return _identical(ms), 0.0, 0.0
     k = max(1, math.ceil(1.0 / (80.0 * math.pi * t * delta * delta)))
     delta_used = 1.0 / math.sqrt(80.0 * math.pi * t * k)
-    if delta_used >= 1.0:
+    if variant == "level-set" and delta_used >= 1.0:
         raise ValidationError("delta must stay below 1; increase t")
-    thresh = delta_used / 2.0
-    for m in ms:
-        m = int(m)
-        nm = 2 ** m
+
+    def hs(m, nm):
+        tail = delta_used * float(nm) ** (-sigma)
+        p1 = delta_used * math.sqrt(m) / math.sqrt(float(nm))
+        return (BirkhoffState({1: p1, -1: p1, nm: tail, -nm: tail}),
+                BirkhoffState({1: 0.0, -1: 0.0, nm: tail, -nm: tail}))
+
+    def level_set(m, nm):
         rad_p = 1.0 - delta_used ** 2 * float(nm) ** (1.0 - 2.0 * sigma)
         rad_q = rad_p - delta_used ** 2 * m / float(nm)
         if rad_q <= 0:
-            rows.append(DivergenceRow(m, math.nan, math.nan, False, "inconclusive"))
-            continue
-        p1 = math.sqrt(rad_p)
-        q1 = math.sqrt(rad_q)
+            return None
+        p1, q1 = math.sqrt(rad_p), math.sqrt(rad_q)
         a = delta_used * float(nm) ** (-sigma)
         b = delta_used * math.sqrt(m) / float(nm)
         p = BirkhoffState({1: p1, -1: p1, nm: a, -nm: a})
         q = BirkhoffState({1: q1, -1: q1, nm: complex(a, b), -nm: complex(a, -b)})
         if abs(p.H0() - q.H0()) > 1e-12 * max(1.0, abs(p.H0())):
             raise ValidationError("level-set construction failed to conserve H0")
-        inp = p.diff_norm(q, sigma)
-        out = flow_map(p, t, freq).diff_norm(flow_map(q, t, freq), sigma)
-        designated = (m % (2 * k) == k)
-        verdict = "separated" if out >= thresh else "inconclusive"
-        rows.append(DivergenceRow(m, inp, out, designated, verdict))
+        return p, q
+
+    thresh = delta_used / 2.0
+    rows = _rows(ms, k, sigma, t, kdv2_star_frequencies, thresh,
+                 hs if variant == "hs" else level_set)
     return rows, delta_used, thresh
 
 

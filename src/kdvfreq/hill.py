@@ -55,7 +55,7 @@ def _qfun(q: Potential, dtype):
     return qf
 
 
-def _delta_noise(lam_abs: float, ode_tol: float, eps: float) -> float:
+def _delta_noise(lam_abs: float, ode_tol: float) -> float:
     # fitted against the q=0 closed form; conservative by 3-10x. The second
     # term is the float64 truncation of the tableau coefficients, common to
     # both dtypes.
@@ -401,7 +401,7 @@ def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:
         raise BracketError("Dirichlet eigenvalue not bracketed by its gap")
 
     def ftol(x):
-        return 2.5 * np.array([_delta_noise(abs(float(v)), tol, eps) for v in x])
+        return 2.5 * np.array([_delta_noise(abs(float(v)), tol) for v in x])
 
     x = (lo + hi) / 2
     todo = np.arange(ns.size)

@@ -53,11 +53,10 @@ def gap_F_values(q: Potential, spec: HillSpectrum) -> dict[int, np.ndarray]:
         return {}
     d = discriminant_batch(q, spec._block.lam.ravel(), spec.ode_tol)
     delta = np.asarray(d["delta"], dtype=float)
-    eps = float(np.finfo(spec.tau.dtype).eps)
     out = {}
     for i, k in enumerate(ks):
         arg = ((-1.0) ** k) * delta[i * NODES:(i + 1) * NODES] / 2.0
-        noise = _delta_noise(float(spec.tau[k]), spec.ode_tol, eps)
+        noise = _delta_noise(float(spec.tau[k]), spec.ode_tol)
         if np.any(arg < 1.0 - max(1e-12, 5.0 * noise)):
             raise NumericalError(f"discriminant dips below 2 inside gap {k}")
         out[k] = -np.arccosh(np.maximum(arg, 1.0))   # minus side

@@ -250,8 +250,7 @@ def floquet_F_on_gap(q, spec, n, t, side="minus", tol=None):
     tol = spec.ode_tol if tol is None else tol
     d = discriminant_batch(q, lam, tol)
     arg = ((-1.0) ** n) * np.asarray(d["delta"], dtype=float) / 2.0
-    noise = _delta_noise(float(np.max(np.abs(lam))), tol,
-                         float(np.finfo(spec.tau.dtype).eps))
+    noise = _delta_noise(float(np.max(np.abs(lam))), tol)
     bad = arg < 1.0 - max(1e-12, 5.0 * noise)
     if np.any(bad):
         raise NumericalError(

@@ -93,15 +93,34 @@ def test_singular_set_pair_brackets():
 
 
 def test_singular_set_triple_interlacing_and_residual():
-    A = [1, 2, 3]
-    roots = singular_set(A)
-    assert len(roots) == 3
-    assert roots[0] < roots[1] < 0 < roots[2]
-    p = [-(4.0 / 3.0) * math.pi ** 2 * i * i for i in A]
-    assert p[2] < roots[0] < p[1] < roots[1] < p[0]
     from kdvfreq.bnf import _det_scale
-    for c in roots:
-        assert abs(det_CA(c, A)) <= 1e-6 * _det_scale(c, A)
+    for A in ([1, 2, 3], [1, 3, 7], list(range(1, 9))):
+        roots = singular_set(A)
+        assert len(roots) == len(A)
+        assert sum(c > 0 for c in roots) == 1
+        # one root between consecutive poles -4 pi^2 i^2 / 3, then one above 0
+        poles = sorted(-(4.0 / 3.0) * math.pi ** 2 * i * i for i in A)
+        for lo, c, hi in zip(poles, roots, poles[1:]):
+            assert lo < c < hi
+        assert roots[-1] > 0
+        # det_CA is the independent rank-one formula, not the eigensolve
+        for c in roots:
+            assert abs(det_CA(c, A)) <= 1e-12 * _det_scale(c, A)
+
+
+@pytest.mark.parametrize("A", [[0, 1], [1, 1], [2, -1, 3], [3, 1, 3]])
+def test_index_set_must_be_distinct_and_positive(A):
+    with pytest.raises(ValidationError, match="distinct"):
+        singular_set(A)
+    with pytest.raises(ValidationError, match="distinct"):
+        det_CA(0.5, A)
+
+
+def test_empty_index_set_rejected():
+    with pytest.raises(ValidationError, match="nonempty"):
+        singular_set([])
+    with pytest.raises(ValidationError, match="nonempty"):
+        det_CA(0.5, [])
 
 
 def test_det_sign_changes_only_at_singular_set():

@@ -148,6 +148,45 @@ def test_flow_exp_csv(capsys):
     assert len(lines) == 8
 
 
+@pytest.mark.parametrize("which, sigma, t, delta, lo, hi", [
+    ("kdv", 0.125, 1.0, 0.8, 3, 9),
+    ("kdv2-hs", 1.0, 1.0, 0.1, 5, 25),
+    ("kdv2-level", 0.5, 0.005, 0.95, 1, 6),     # NaN rows at m = 1..3
+])
+def test_flow_exp_rows_match_library(capsys, which, sigma, t, delta, lo, hi):
+    from kdvfreq import flow
+    ms = range(lo, hi + 1)
+    if which == "kdv":
+        rows = flow.kdv_continuity_experiment(sigma, t, delta, ms)[0]
+    else:
+        variant = {"kdv2-hs": "hs", "kdv2-level": "level-set"}[which]
+        rows = flow.kdv2_continuity_experiment(sigma, t, variant, delta, ms)[0]
+    code, out = run(capsys, ["flow-exp", "--which", which, "--sigma", repr(sigma),
+                             "--t", repr(t), "--delta", repr(delta), "--m", f"{lo}..{hi}"])
+    assert code == 0
+    want = ["m,input_gap,output_gap,verdict"] + [
+        f"{r.m},{r.input_gap:.17g},{r.output_gap:.17g},{r.verdict}" for r in rows]
+    assert out.splitlines() == want
+
+
+def test_negative_exponent_float_parses_spaced(capsys):
+    code_eq, out_eq = run(capsys, ["bnf", "--which", "kdv2", "--I", "0.01", "--c=-1e-2"])
+    code_sp, out_sp = run(capsys, ["bnf", "--which", "kdv2", "--I", "0.01", "--c", "-1e-2"])
+    assert code_eq == code_sp == 0
+    assert out_sp == out_eq
+    assert json.loads(out_sp)["c"] == -1e-2
+
+
+def test_negative_exponent_step_rejected_by_evolve(capsys, pot_file):
+    code = main(["evolve", "--potential", pot_file, "--eq", "airy", "--T", "0.001",
+                 "--dt", "-1e-4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be" in captured.err
+    assert "expected one argument" not in captured.err
+
+
 def _sample_lines(traj):
     """The reference bytes of an evolve run: one _dump_json line per sample."""
     return "".join(_dump_json({"t": float(t),

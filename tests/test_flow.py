@@ -23,13 +23,13 @@ def test_state_reality_and_actions():
 
 def test_flow_identity_at_t0():
     z = sample_state()
-    out = flow_map(z, 0.0, kdv_full_frequencies())
+    out = flow_map(z, 0.0, kdv_full_frequencies)
     assert out.z == z.z
 
 
 def test_flow_preserves_moduli():
     z = sample_state()
-    out = flow_map(z, 0.37, kdv_full_frequencies())
+    out = flow_map(z, 0.37, kdv_full_frequencies)
     for n in z.z:
         assert abs(out.z[n]) == pytest.approx(abs(z.z[n]), rel=1e-15)
         assert out.action(abs(n)) == pytest.approx(z.action(abs(n)), rel=1e-12)
@@ -37,7 +37,7 @@ def test_flow_preserves_moduli():
 
 def test_flow_group_property():
     z = sample_state()
-    freq = kdv_full_frequencies()
+    freq = kdv_full_frequencies
     t, s = 0.21, 0.13
     once = flow_map(z, t + s, freq)
     twice = flow_map(flow_map(z, s, freq), t, freq)
@@ -47,7 +47,7 @@ def test_flow_group_property():
 
 def test_flow_homeomorphism_inverse():
     z = sample_state()
-    freq = kdv_star_frequencies()
+    freq = kdv_star_frequencies
     back = flow_map(flow_map(z, 0.8, freq), -0.8, freq)
     for n in z.z:
         assert back.z[n] == pytest.approx(z.z[n], rel=1e-14)
@@ -55,7 +55,7 @@ def test_flow_homeomorphism_inverse():
 
 def test_flow_continuity_in_t():
     z = sample_state()
-    freq = kdv_star_frequencies()
+    freq = kdv_star_frequencies
     last = math.inf
     for t in (1e-1, 1e-3, 1e-5):
         gap = flow_map(z, t, freq).diff_norm(z, 0.5)
@@ -128,7 +128,7 @@ def test_kdv2_level_set_conserves_H0():
 def test_kdv2_t0_divergence_zero():
     z = BirkhoffState.real_state([(1, 0.2), (4, 0.1)])
     from kdvfreq.flow import kdv2_star_frequencies
-    out = flow_map(z, 0.0, kdv2_star_frequencies())
+    out = flow_map(z, 0.0, kdv2_star_frequencies)
     assert out.diff_norm(z, 0.5) == 0.0
 
 
@@ -150,3 +150,29 @@ def test_random_real_states_have_nonnegative_actions():
         assert z.is_real(1e-15)
         for n in z.support():
             assert z.action(n) >= 0.0
+
+
+@pytest.mark.parametrize("sigma, variant", [(1.0, "hs"), (0.5, "level-set")])
+def test_kdv2_delta_zero_rows_are_identical(sigma, variant):
+    rows, du, thresh = kdv2_continuity_experiment(sigma, 1.0, variant, 0.0, [3, 5, 8])
+    assert (du, thresh) == (0.0, 0.0)
+    assert [(r.m, r.input_gap, r.output_gap, r.designated, r.verdict) for r in rows] == [
+        (m, 0.0, 0.0, False, "identical") for m in (3, 5, 8)]
+
+
+def test_kdv2_level_set_unbuildable_stages_are_nan_rows():
+    # at m = 1..3 the rebalanced mode-1 amplitude of q would be imaginary
+    rows, du, thresh = kdv2_continuity_experiment(0.5, 0.005, "level-set", 0.95,
+                                                  range(1, 7))
+    assert [r.m for r in rows] == [1, 2, 3, 4, 5, 6]
+    for r in rows[:3]:
+        assert math.isnan(r.input_gap) and math.isnan(r.output_gap)
+        assert not r.designated and r.verdict == "inconclusive"
+    for r in rows[3:]:
+        assert math.isfinite(r.input_gap) and math.isfinite(r.output_gap)
+    assert du < 1.0 and thresh == du / 2.0
+
+
+def test_kdv2_level_set_rejects_delta_used_of_1_or_more():
+    with pytest.raises(ValidationError, match="delta must stay below 1"):
+        kdv2_continuity_experiment(0.5, 0.001, "level-set", 2.0, [4])

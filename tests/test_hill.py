@@ -30,13 +30,12 @@ _SHOOTING = [(np.float64, 1e-13), (np.longdouble, 1e-16)]
 _FREE_LAMS = [-40.0, 0.5, 9.0, 100.0, 400.0, 1500.0, 3000.0, 4500.0, 6000.0]
 
 
-def _free_noise(lams, tol, dtype):
+def _free_noise(lams, tol):
     """hill._delta_noise per lam, relative to |Delta| where the free
     solutions grow (negative or complex lam)."""
-    eps = float(np.finfo(dtype).eps)
     lams = np.asarray(lams)
     grow = np.abs(2 * np.cos(np.sqrt(lams.astype(np.clongdouble)))).astype(float)
-    return np.array([hill._delta_noise(abs(complex(lam)), tol, eps)
+    return np.array([hill._delta_noise(abs(complex(lam)), tol)
                      for lam in lams]) * np.maximum(1.0, grow)
 
 
@@ -47,7 +46,7 @@ def test_free_discriminant_derivative_closed_form(dtype, tol):
     d = discriminant_batch(make_potential([], 0.0), lams, tol=tol)
     r = np.sqrt(lams.astype(np.clongdouble))
     err = np.abs((d["ddelta"] + np.sin(r) / r).astype(complex))
-    assert np.all(err <= _free_noise(lams, tol, dtype))
+    assert np.all(err <= _free_noise(lams, tol))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -60,7 +59,7 @@ def test_free_discriminant_closed_form(dtype, tol):
     d = discriminant_batch(make_potential([], 0.0), lams, tol=tol)
     err = np.abs((d["delta"] - 2 * np.cos(np.sqrt(lams.astype(np.clongdouble)))
                   ).astype(complex))
-    assert np.all(err <= _free_noise(lams, tol, dtype))
+    assert np.all(err <= _free_noise(lams, tol))
 
 
 def test_discriminant_complex_lambda():
@@ -75,7 +74,7 @@ def test_discriminant_complex_lambda():
 def test_free_discriminant_complex_closed_form(lam):
     d = discriminant(make_potential([], 0.0), lam)
     r = np.sqrt(np.clongdouble(lam))
-    noise = _free_noise([lam], 1e-11, np.float64)[0]
+    noise = _free_noise([lam], 1e-11)[0]
     assert abs(d.delta - complex(2 * np.cos(r))) <= noise
     assert abs(d.delta_dot + complex(np.sin(r) / r)) <= noise
 
@@ -101,8 +100,7 @@ def test_without_dlam_gives_the_state_rows(dtype, tol):
     full = integrate_hill(qf, lams, tol, tol, with_dlam=True)
     rows = integrate_hill(qf, lams, tol, tol, with_dlam=False)
     assert full.shape == (8, lams.size) and rows.shape == (4, lams.size)
-    eps = float(np.finfo(dtype).eps)
-    noise = np.array([hill._delta_noise(abs(float(lam)), tol, eps) for lam in lams])
+    noise = np.array([hill._delta_noise(abs(float(lam)), tol) for lam in lams])
     scale = np.maximum(1.0, np.abs(full[:4].astype(float)))
     assert np.all(np.abs((full[:4] - rows).astype(float)) <= noise * scale)
 
@@ -185,8 +183,7 @@ def test_shooting_discriminant_at_matrix_edges(pairs):
     lams = np.concatenate([[spec.lam0], spec.lambda_minus[ns], spec.lambda_plus[ns]])
     signs = np.concatenate([[1.0], (-1.0) ** np.array(ns + ns)])
     d = discriminant_batch(q, lams, tol=spec.ode_tol)
-    noise = np.array([hill._delta_noise(abs(float(lam)), spec.ode_tol, np.finfo(float).eps)
-                      for lam in lams])
+    noise = np.array([hill._delta_noise(abs(float(lam)), spec.ode_tol) for lam in lams])
     assert np.all(np.abs(signs * d["delta"] - 2.0) <= noise)
 
 

@@ -193,14 +193,13 @@ def test_F_table_matches_shooting(name, dtype):
     F_int, F_shoot = inv._F_table(spec), gap_F_values(q, spec)
     assert sorted(F_int) == sorted(F_shoot) == spec.open_indices()
     inner = np.abs(cheb_nodes(NODES)) < 0.9
-    eps = float(np.finfo(dtype).eps)
     for k in spec.open_indices():
         shoot = np.asarray(F_shoot[k], dtype=float)[inner]
         if k in floor:
             assert np.all(shoot == 0), f"gap {k} is above the shooting floor"
             continue
         err = np.abs(np.asarray(F_int[k], dtype=float)[inner] - shoot)
-        noise = _delta_noise(float(spec.tau[k]), spec.ode_tol, eps)
+        noise = _delta_noise(float(spec.tau[k]), spec.ode_tol)
         assert np.all(2 * np.abs(np.sinh(shoot)) * err <= noise), f"gap {k}"
 
 
