@@ -41,7 +41,7 @@ viol = 0
 for _ in range(500):
     a = rng.standard_normal(32)
     a *= rng.uniform(0.05, 0.3) / max(1.0, float(np.sum(np.abs(a))))
-    val, bound = seqspace.inf_product(a, "bound")
+    val, bound = seqspace.inf_product(a)
     viol += abs(val - 1.0) > bound
 print(f"certified infinite-product bound: {viol} violations in 500 samples")
 

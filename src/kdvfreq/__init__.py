@@ -24,13 +24,13 @@ _EXPORTS = {
                      "periodic_spectrum"), "hill"),
     **dict.fromkeys(("PsiFunction", "psi_solve"), "roots"),
     **dict.fromkeys(("ActionVector", "MomentTable", "FrequencyReport",
-                     "HamiltonianValues", "action_vector", "moments", "freq_kdv",
-                     "freq_kdv2", "hamiltonians", "frequency_report",
+                     "HamiltonianValues", "action_vector", "moments",
+                     "frequency_sums", "hamiltonians", "frequency_report",
                      "frequency_jacobian"), "invariants"),
     **dict.fromkeys(("bnf_predict", "det_CA", "singular_set", "resonance_scan",
                      "comb_identities_check"), "bnf"),
-    **dict.fromkeys(("WeightedSeq", "weighted_norm", "op_A", "op_G", "inf_product",
-                     "sin_product", "schur_invertible"), "seqspace"),
+    **dict.fromkeys(("weighted_norm", "op_A", "op_G", "inf_product", "sin_product",
+                     "schur_invertible"), "seqspace"),
     **dict.fromkeys(("BirkhoffState", "flow_map", "kdv_continuity_experiment",
                      "kdv2_continuity_experiment"), "flow"),
     **dict.fromkeys(("GridState", "Trajectory", "evolve", "measure_mode_frequency",

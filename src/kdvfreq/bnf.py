@@ -164,11 +164,9 @@ def resonance_scan(A, c=0, kmax: int = 6, window: int = 40) -> list[ResonanceVec
     component of (Ck)_A vanishes iff (c = 0 or k_i = 0) and S1 = i k_i.
     Every representable c is rational, so the lattice separation is exact.
     """
-    A = sorted(int(a) for a in A)
+    A = sorted(_index_set(A))
     if kmax < 0 or window < 0:
         raise ValidationError("kmax and window must be nonnegative")
-    if A and A[0] < 1:
-        raise ValidationError("gap indices in A must be at least 1")
     Z = [j for j in range(1, window + 1) if j not in A]
     c_zero = (c == 0)
 

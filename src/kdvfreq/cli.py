@@ -243,7 +243,7 @@ def _cmd_seqtest(args):
     worst_margin = np.inf
     for _ in range(args.samples):
         a = rng.standard_normal(32) * 0.3 / 32
-        val, bound = seqspace.inf_product(a, "bound")
+        val, bound = seqspace.inf_product(a)
         margin = bound - abs(val - 1.0)
         worst_margin = min(worst_margin, margin)
         if margin < 0:
@@ -257,14 +257,19 @@ def _cmd_seqtest(args):
     return 0
 
 
+# the default --sigma of each flow-exp --which, one inside each variant's range
+_FLOW_SIGMA = {"kdv": 0.125, "kdv2-hs": 1.0, "kdv2-level": 0.5}
+
+
 def _cmd_flow_exp(args):
     from . import flow
     ms = _parse_range(args.m)
+    sigma = _FLOW_SIGMA[args.which] if args.sigma is None else args.sigma
     if args.which == "kdv":
-        rows = flow.kdv_continuity_experiment(args.sigma, args.t, args.delta, ms)[0]
+        rows = flow.kdv_continuity_experiment(sigma, args.t, args.delta, ms)[0]
     else:
         variant = "hs" if args.which == "kdv2-hs" else "level-set"
-        rows = flow.kdv2_continuity_experiment(args.sigma, args.t, variant, args.delta, ms)[0]
+        rows = flow.kdv2_continuity_experiment(sigma, args.t, variant, args.delta, ms)[0]
     table = [(r.m, r.input_gap, r.output_gap, r.verdict) for r in rows]
     _write(args.out, _csv(("m", "input_gap", "output_gap", "verdict"), table))
     return 0
@@ -352,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("flow-exp", _cmd_flow_exp, "non-uniform-continuity experiment")
     p.add_argument("--which", choices=("kdv", "kdv2-hs", "kdv2-level"), default="kdv")
-    p.add_argument("--sigma", type=_finite, default=0.125)
+    p.add_argument("--sigma", type=_finite, default=None,
+                   help="default 0.125 (kdv), 1 (kdv2-hs), 0.5 (kdv2-level)")
     p.add_argument("--t", type=_finite, default=1.0)
     p.add_argument("--delta", type=_finite, default=0.5)
     p.add_argument("--m", default="1..40")

@@ -20,8 +20,8 @@ from .potentials import Potential, evaluate, evaluate_derivative
 from .roots import PsiFunction, cheb_nodes, psi_solve
 
 __all__ = ["ActionVector", "MomentTable", "FrequencyReport", "HamiltonianValues",
-           "JacobianResult", "action_vector", "moments", "freq_kdv",
-           "freq_kdv2", "hamiltonians", "frequency_report", "frequency_jacobian",
+           "JacobianResult", "action_vector", "moments", "frequency_sums",
+           "hamiltonians", "frequency_report", "frequency_jacobian",
            "spectrum_for", "psi_for"]
 
 
@@ -46,6 +46,12 @@ def _F_table(spec: HillSpectrum) -> dict[int, np.ndarray]:
     """F on the minus side of every open gap, integrated from the spectral
     data (``roots.gap_F_integrated``)."""
     return roots.gap_F_integrated(spec)
+
+
+def _F_rows(spec: HillSpectrum) -> np.ndarray:
+    """The F table as float rows (open gaps x NODES)."""
+    Fv, opens = _F_table(spec), spec.open_indices()
+    return np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +154,10 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction], N: int) -> MomentT
     for n in range(1, N + 1):
         if n not in psis:
             raise ValidationError(f"psi_{n} missing from the supplied family")
-    Fv = _F_table(spec)
     om2 = np.zeros((N + 1, K + 1))
     om4 = np.zeros((N + 1, K + 1))
     opens = spec.open_indices()
-    F = np.array([Fv[k] for k in opens], dtype=float).reshape(len(opens), NODES)
+    F = _F_rows(spec)
     F2 = F ** 2
     w = 2.0 * math.pi / NODES
     for n in range(1, N + 1):
@@ -160,20 +165,20 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction], N: int) -> MomentT
                        dtype=float)
         om2[n, opens] = w * np.sum(F2 * g, axis=1)
         om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
-    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, Fv), N=N, K=K)
+    return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, F), N=N, K=K)
 
 
-def _r_moments(spec: HillSpectrum, Fv: dict) -> dict:
+def _r_moments(spec: HillSpectrum, F: np.ndarray) -> dict:
     """R_k^(m) = -(gamma_k / NODES) sum_t F_k(t)^m sqrt(1 - t^2) for m = 1,
-    3, 5 and k <= spec.N, from the F table Fv; exactly 0 on a collapsed gap."""
+    3, 5 and k <= spec.N, from the F rows of the open gaps; exactly 0 on a
+    collapsed gap."""
     R = {(k, m): 0.0 for k in range(1, spec.N + 1) for m in (1, 3, 5)}
     t = cheb_nodes(NODES)
     root_w = np.sqrt(1.0 - t * t)
-    for k in spec.open_indices():
-        Fk = np.asarray(Fv[k], dtype=float)
-        gk = float(spec.gamma[k])
-        for m in (1, 3, 5):
-            R[(k, m)] = -(gk / NODES) * float(np.sum(Fk ** m * root_w))
+    opens = spec.open_indices()
+    for m in (1, 3, 5):
+        for k, s in zip(opens, np.sum(F ** m * root_w, axis=1).tolist()):
+            R[(k, m)] = -(float(spec.gamma[k]) / NODES) * s
     return R
 
 
@@ -211,36 +216,28 @@ class FrequencyReport:
     moments: MomentTable = field(repr=False)
 
 
-def _collapsed_tail_bound(spec: HillSpectrum, n: int, weight) -> float:
-    """Bound on sum_k weight(k)*Omega_nk^(2) over gaps hidden below the
-    detection floor (gamma up to the per-gap ``gamma_floor``), x2 safety."""
-    total = 0.0
+def frequency_sums(spec: HillSpectrum, mom: MomentTable):
+    """(omega1*, tail1, omega2*, tail2) over n = 0..mom.N, 0 at n = 0, with
+    omega_n^(1)* = -12 sum_k k Omega_nk^(2) and omega_n^(2)* = -160 pi^2 sum_k
+    k^3 Omega_nk^(2) + 80 sum_k k Omega_nk^(4). Each tail bounds its sum over
+    the gaps hidden below the detection floor (gamma up to ``gamma_floor``),
+    x2 safety, adding the collapsed k in ascending order."""
+    ns = np.arange(mom.N + 1)
+    hid = np.zeros((2, mom.N + 1))          # weights k and k^3
     for k in range(1, spec.N + 1):
         if spec.open_gap[k]:
             continue
         om_kk = float(spec.gamma_floor[k]) ** 2 / (16.0 * k * k * math.pi)
-        if k == n:
-            total += weight(k) * om_kk
-        else:
-            total += weight(k) * om_kk * n / abs(n * n - k * k)
-    return 2.0 * total
-
-
-def freq_kdv(spec: HillSpectrum, mom: MomentTable, n: int):
-    """omega_n^(1)-star = -12 sum_k k Omega_nk^(2) plus a tail bound."""
+        w = np.array([[k], [k ** 3]], dtype=float) * om_kk
+        d = np.abs(ns * ns - k * k)
+        hid += np.where(d == 0, w, w * ns / np.maximum(d, 1))
     ks = np.arange(1, mom.K + 1)
-    star = -12.0 * float(np.sum(ks * mom.omega2[n, 1:]))
-    tail = 12.0 * _collapsed_tail_bound(spec, n, lambda k: float(k))
-    return star, tail
-
-
-def freq_kdv2(spec: HillSpectrum, mom: MomentTable, n: int):
-    """omega_n^(2)-star = -160 pi^2 sum k^3 Omega^(2) + 80 sum k Omega^(4)."""
-    ks = np.arange(1, mom.K + 1)
-    star = (-160.0 * math.pi ** 2 * float(np.sum(ks ** 3 * mom.omega2[n, 1:]))
-            + 80.0 * float(np.sum(ks * mom.omega4[n, 1:])))
-    tail = 160.0 * math.pi ** 2 * _collapsed_tail_bound(spec, n, lambda k: float(k ** 3))
-    return star, tail
+    om2, om4 = mom.omega2[:, 1:], mom.omega4[:, 1:]
+    o1s = -12.0 * np.sum(ks * om2, axis=1)
+    o2s = (-160.0 * math.pi ** 2 * np.sum(ks ** 3 * om2, axis=1)
+           + 80.0 * np.sum(ks * om4, axis=1))
+    o1s[0] = o2s[0] = 0.0
+    return o1s, 12.0 * (2.0 * hid[0]), o2s, 160.0 * math.pi ** 2 * (2.0 * hid[1])
 
 
 def frequency_report(u: Potential, N: int, dtype=np.float64,
@@ -266,13 +263,7 @@ def frequency_report(u: Potential, N: int, dtype=np.float64,
     H0 = 0.5 * float(np.mean(uq ** 2))
     ns = np.arange(0, N + 1, dtype=float)
     w = 2.0 * ns * math.pi
-    o1s = np.zeros(N + 1)
-    o2s = np.zeros(N + 1)
-    t1 = np.zeros(N + 1)
-    t2 = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        o1s[n], t1[n] = freq_kdv(spec, mom, n)
-        o2s[n], t2[n] = freq_kdv2(spec, mom, n)
+    o1s, t1, o2s, t2 = frequency_sums(spec, mom)
     omega1 = w ** 3 + 6.0 * c * w + o1s
     omega2 = w ** 5 + 10.0 * c * w ** 3 + 30.0 * c * c * w + 20.0 * w * H0 \
         + o2s + 10.0 * c * o1s
@@ -312,7 +303,7 @@ def hamiltonians(spec: HillSpectrum) -> HamiltonianValues:
     if spec.potential.mean != 0:     # the routes hold for q = u - mean only
         raise ValidationError("hamiltonians needs the spectrum of a zero-mean potential")
     acts = action_vector(spec)
-    R = _r_moments(spec, _F_table(spec))
+    R = _r_moments(spec, _F_rows(spec))
     q = spec.potential
     grid = np.arange(4096) / 4096.0
     u = evaluate(q, grid)
@@ -390,6 +381,8 @@ def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
     d = len(A)
     if d == 0:
         raise ValidationError("index set A must be nonempty")
+    if min(A) < 1 or len(set(A)) != d:
+        raise ValidationError(f"indices in A must be distinct and at least 1, got {list(A)}")
     if which not in ("kdv", "kdv2"):
         raise ValidationError("which must be 'kdv' or 'kdv2'")
     if not (math.isfinite(h) and h != 0):

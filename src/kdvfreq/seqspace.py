@@ -14,30 +14,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["WeightedSeq", "weighted_norm", "op_A", "op_G", "inf_product",
-           "sin_product", "schur_invertible", "SchurResult", "zeta_tail"]
+__all__ = ["weighted_norm", "op_A", "op_G", "inf_product", "sin_product",
+           "schur_invertible", "SchurResult", "zeta_tail"]
 
 
 def zeta_tail(a: float, k: int) -> float:
     """sum_{j >= a} j^(-2k) by Euler-Maclaurin; accurate for a >= 8."""
     s = 2 * k
     return a ** (1 - s) / (s - 1) + 0.5 * a ** (-s) + s / 12.0 * a ** (-s - 1)
-
-
-@dataclass(frozen=True)
-class WeightedSeq:
-    """Finite sequence (x_1, ..., x_L) tagged with its weighted-space label.
-
-    The norm is (sum <n>^{sp} |x_n|^p)^{1/p} with <n> = 1 + n; p = inf takes
-    the weighted maximum.
-    """
-
-    entries: np.ndarray
-    s: float = 0.0
-    p: float = 2.0
-
-    def norm(self) -> float:
-        return weighted_norm(self.entries, self.s, self.p)
 
 
 def weighted_norm(x, s: float, p: float) -> float:
@@ -49,58 +33,38 @@ def weighted_norm(x, s: float, p: float) -> float:
     return float(np.sum((w * np.abs(x)) ** p) ** (1.0 / p))
 
 
-def _as_entries(x):
-    if isinstance(x, WeightedSeq):
-        return np.asarray(x.entries), x
-    return np.asarray(x), None
+def _off_diagonal(x, denom):
+    """kern @ x for the kernel 1/denom(m, n) off the diagonal and 0 on it,
+    with denom the integer array over [n, m] = 1..L."""
+    x = np.asarray(x)
+    m = np.arange(1, x.size + 1)
+    d = denom(m[None, :], m[:, None])
+    with np.errstate(divide="ignore"):
+        kern = np.where(d != 0, 1.0 / np.where(d == 0, 1, d), 0.0)
+    return kern @ x
 
 
 def op_A(x):
-    """(Ax)_n = sum_{m != n} x_m / (m^2 - n^2), an exact finite double sum.
-
-    Smooths by one weight order: a WeightedSeq input comes back labeled
-    (s+1, p).
-    """
-    e, tag = _as_entries(x)
-    L = e.size
-    m = np.arange(1, L + 1)
-    denom = m[None, :] ** 2 - m[:, None] ** 2      # [n, m]
-    with np.errstate(divide="ignore"):
-        kern = np.where(denom != 0, 1.0 / np.where(denom == 0, 1, denom), 0.0)
-    out = kern @ e
-    if tag is not None:
-        return WeightedSeq(out, tag.s + 1.0, tag.p)
-    return out
+    """(Ax)_n = sum_{m != n} x_m / (m^2 - n^2), an exact finite double sum;
+    it smooths by one weight order."""
+    return _off_diagonal(x, lambda m, n: m ** 2 - n ** 2)
 
 
 def op_G(x):
     """(Gx)_n = sum_{m != n} x_m / |m - n|^2 (bounded by 4 on every ell^p)."""
-    e, tag = _as_entries(x)
-    L = e.size
-    m = np.arange(1, L + 1)
-    d = np.abs(m[None, :] - m[:, None])
-    with np.errstate(divide="ignore"):
-        kern = np.where(d != 0, 1.0 / np.where(d == 0, 1, d) ** 2, 0.0)
-    out = kern @ e
-    if tag is not None:
-        return WeightedSeq(out, tag.s, tag.p)
-    return out
+    return _off_diagonal(x, lambda m, n: np.abs(m - n) ** 2)
 
 
-def inf_product(a, mode: str = "value"):
-    """prod(1 + a_m) and, in bound mode, the certified deviation bound
+def inf_product(a):
+    """prod(1 + a_m) and its certified deviation bound
     |prod - 1| <= A e^S + B e^{S + S^2} with A = |sum a|, B = sum |a|^2,
     S = sum |a| (requires |a_m| <= 1/2)."""
     a = np.asarray(a)
+    if a.size and np.max(np.abs(a)) > 0.5:
+        raise ValidationError("certified bound requires |a_m| <= 1/2")
     value = complex(np.prod(1.0 + a))
     if np.isrealobj(a):
         value = value.real
-    if mode == "value":
-        return value, None
-    if mode != "bound":
-        raise ValidationError("mode must be 'value' or 'bound'")
-    if a.size and np.max(np.abs(a)) > 0.5:
-        raise ValidationError("certified bound requires |a_m| <= 1/2")
     A = abs(np.sum(a))
     B = float(np.sum(np.abs(a) ** 2))
     S = float(np.sum(np.abs(a)))

@@ -12,8 +12,8 @@ Delta^2 - 4 off the open gaps, the Floquet exponent F_n by shooting,
 moments with both gap sides quadratured apart, the per-gap bodies of
 ``psi_solve``, ``moments`` and ``action_vector`` that evaluate every
 standard root where it is used, for the bit-identity tests of the shared
-node block, and a per-gap Newton solve of the psi roots, independent of the
-sweep ``psi_solve`` runs.
+node block, a per-gap Newton solve of the psi roots, independent of the
+sweep ``psi_solve`` runs, and the frequency sums one index n at a time.
 """
 import math
 
@@ -452,3 +452,45 @@ def action_vector_per_gap(spec, N=None):
             err[n] = abs(scale * (r2 - ratio[n]))
             ratio[n] = r2
     return I, ratio, err
+
+
+def _collapsed_tail_bound(spec, n, weight):
+    """Bound on sum_k weight(k)*Omega_nk^(2) over gaps hidden below the
+    detection floor (gamma up to the per-gap ``gamma_floor``), x2 safety."""
+    total = 0.0
+    for k in range(1, spec.N + 1):
+        if spec.open_gap[k]:
+            continue
+        om_kk = float(spec.gamma_floor[k]) ** 2 / (16.0 * k * k * math.pi)
+        if k == n:
+            total += weight(k) * om_kk
+        else:
+            total += weight(k) * om_kk * n / abs(n * n - k * k)
+    return 2.0 * total
+
+
+def freq_kdv(spec, mom, n):
+    """omega_n^(1)-star = -12 sum_k k Omega_nk^(2) plus a tail bound."""
+    ks = np.arange(1, mom.K + 1)
+    star = -12.0 * float(np.sum(ks * mom.omega2[n, 1:]))
+    tail = 12.0 * _collapsed_tail_bound(spec, n, lambda k: float(k))
+    return star, tail
+
+
+def freq_kdv2(spec, mom, n):
+    """omega_n^(2)-star = -160 pi^2 sum k^3 Omega^(2) + 80 sum k Omega^(4)."""
+    ks = np.arange(1, mom.K + 1)
+    star = (-160.0 * math.pi ** 2 * float(np.sum(ks ** 3 * mom.omega2[n, 1:]))
+            + 80.0 * float(np.sum(ks * mom.omega4[n, 1:])))
+    tail = 160.0 * math.pi ** 2 * _collapsed_tail_bound(spec, n, lambda k: float(k ** 3))
+    return star, tail
+
+
+def frequency_sums_per_n(spec, mom):
+    """``invariants.frequency_sums`` as (omega1*, tail1, omega2*, tail2), one
+    index n at a time."""
+    out = [np.zeros(mom.N + 1) for _ in range(4)]
+    for n in range(1, mom.N + 1):
+        out[0][n], out[1][n] = freq_kdv(spec, mom, n)
+        out[2][n], out[3][n] = freq_kdv2(spec, mom, n)
+    return tuple(out)

@@ -162,7 +162,7 @@ def test_criterion_10_appendix_ab_suite():
     for _ in range(500):
         a = rng.standard_normal(32)
         a *= rng.uniform(0.05, 0.3) / max(1.0, float(np.sum(np.abs(a))))
-        val, bound = seqspace.inf_product(a, "bound")
+        val, bound = seqspace.inf_product(a)
         violations += abs(val - 1.0) > bound
     sp_err = abs(seqspace.sin_product(math.pi ** 2 / 4.0, 10_000) - 2.0 / math.pi) \
         / (2.0 / math.pi)

@@ -114,6 +114,9 @@ def test_index_set_must_be_distinct_and_positive(A):
         singular_set(A)
     with pytest.raises(ValidationError, match="distinct"):
         det_CA(0.5, A)
+    # resonance_scan([1, 1]) used to find no offenders, certifying a repeated index
+    with pytest.raises(ValidationError, match="distinct"):
+        resonance_scan(A, 0, 1, 3)
 
 
 def test_empty_index_set_rejected():
@@ -121,6 +124,8 @@ def test_empty_index_set_rejected():
         singular_set([])
     with pytest.raises(ValidationError, match="nonempty"):
         det_CA(0.5, [])
+    with pytest.raises(ValidationError, match="nonempty"):
+        resonance_scan([], 0, 1, 3)
 
 
 def test_det_sign_changes_only_at_singular_set():

@@ -169,6 +169,19 @@ def test_flow_exp_rows_match_library(capsys, which, sigma, t, delta, lo, hi):
     assert out.splitlines() == want
 
 
+@pytest.mark.parametrize("which, variant, sigma", [
+    ("kdv2-hs", "hs", 1.0), ("kdv2-level", "level-set", 0.5)])
+def test_flow_exp_default_sigma_per_variant(capsys, which, variant, sigma):
+    # a single default of 0.125 lay outside both kdv2 ranges, so these exited 2
+    from kdvfreq import flow
+    rows = flow.kdv2_continuity_experiment(sigma, 1.0, variant, 0.5, range(1, 41))[0]
+    code, out = run(capsys, ["flow-exp", "--which", which])
+    assert code == 0
+    want = ["m,input_gap,output_gap,verdict"] + [
+        f"{r.m},{r.input_gap:.17g},{r.output_gap:.17g},{r.verdict}" for r in rows]
+    assert out.splitlines() == want
+
+
 def test_negative_exponent_float_parses_spaced(capsys):
     code_eq, out_eq = run(capsys, ["bnf", "--which", "kdv2", "--I", "0.01", "--c=-1e-2"])
     code_sp, out_sp = run(capsys, ["bnf", "--which", "kdv2", "--I", "0.01", "--c", "-1e-2"])
@@ -349,6 +362,7 @@ BAD_POTENTIALS = {
     ["flow-exp", "--sigma", "0.3"],
     ["flow-exp", "--which", "kdv2-hs", "--sigma", "0.5"],
     ["freq", "--n", "1..x"],
+    ["resonance", "--A", "1,1", "--Kmax", "1", "--window", "3"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):

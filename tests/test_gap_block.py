@@ -9,7 +9,8 @@ or 0 where rounding puts an end node on the edge) must stay quiet, and the
 block stores 1 there instead.
 
 The roots psi_solve settles by its sweep also equal, bit for bit, those of an
-independent per-gap Newton solve on these cases.
+independent per-gap Newton solve on these cases, and the frequency sums over
+every n at once equal those made one n at a time.
 """
 import cmath
 
@@ -23,8 +24,9 @@ from kdvfreq.hill import NODES, _varsigma
 from kdvfreq.potentials import cosine_sum, make_potential, rough_profile, single_mode
 from kdvfreq.roots import psi_solve
 
-from oracles import (action_vector_per_gap, gap_nodes, moments_per_gap,
-                     psi_newton_per_gap, psi_quotient_on_gap, psi_solve_per_gap)
+from oracles import (action_vector_per_gap, frequency_sums_per_n, gap_nodes,
+                     moments_per_gap, psi_newton_per_gap, psi_quotient_on_gap,
+                     psi_solve_per_gap)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -102,6 +104,17 @@ def test_moments_match_per_gap_bit_for_bit(case):
     assert np.array_equal(mom.omega2, om2)
     assert np.array_equal(mom.omega4, om4)
     assert mom.R == R
+
+
+def test_frequency_sums_match_per_n_bit_for_bit(case):
+    spec, N, _, psis = case
+    mom = inv.moments(spec, psis, N)
+    got = inv.frequency_sums(spec, mom)
+    for name, a, b in zip(("omega1*", "tail1", "omega2*", "tail2"), got,
+                          frequency_sums_per_n(spec, mom)):
+        assert a.shape == (N + 1,) and a.dtype == np.float64, name
+        assert np.array_equal(a, b), name
+    assert np.all(got[1][1:] > 0) and np.all(got[3][1:] > 0)    # hidden gaps count
 
 
 @pytest.mark.parametrize("cut", [False, True])

@@ -130,10 +130,11 @@ def test_freq_free_exact():
 
 def test_freq_leading_order(pipe_single):
     q, spec, psis, mom, acts = pipe_single
-    o1, tail = inv.freq_kdv(spec, mom, 1)
+    o1s, _, o2s, _ = inv.frequency_sums(spec, mom)
+    o1 = o1s[1]
     # omega1* = -6 I_1 + O(eps^4)
     assert o1 == pytest.approx(-6 * acts.I[1], abs=5e-6)
-    o2, _ = inv.freq_kdv2(spec, mom, 1)
+    o2 = o2s[1]
     assert o2 == pytest.approx(-20 * (2 * math.pi) ** 2 * acts.I[1], rel=5e-3)
 
 
@@ -158,7 +159,8 @@ def test_sigma_vs_tau_sensitivity():
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
     mom = inv.moments(spec, psis, 4)
-    o1, tail = inv.freq_kdv(spec, mom, 1)
+    o1s, tails, _, _ = inv.frequency_sums(spec, mom)
+    o1, tail = o1s[1], tails[1]
     lazy = {}
     for n, p in psis.items():
         import dataclasses
@@ -168,7 +170,7 @@ def test_sigma_vs_tau_sensitivity():
                 sig[k] = spec.tau[k]
         lazy[n] = dataclasses.replace(p, sigma=sig)
     mom2 = inv.moments(spec, lazy, 4)
-    o1b, _ = inv.freq_kdv(spec, mom2, 1)
+    o1b = inv.frequency_sums(spec, mom2)[0][1]
     assert o1 != o1b                      # the moments read the substituted roots
     assert abs(o1 - o1b) <= tail + 1e-10
 
@@ -242,7 +244,8 @@ def test_freq_zero_potential_tail_zero():
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
     mom = inv.moments(spec, psis, 4)
-    o1, tail = inv.freq_kdv(spec, mom, 1)
+    o1s, tails, _, _ = inv.frequency_sums(spec, mom)
+    o1, tail = o1s[1], tails[1]
     assert o1 == 0.0
     assert tail >= 0.0
 
@@ -319,6 +322,17 @@ def test_jacobian_rejects_zero_or_nonfinite_step(monkeypatch, h):
     monkeypatch.setattr(inv, "_family_point", _no_report)
     with pytest.raises(ValidationError, match="finite and nonzero"):
         inv.frequency_jacobian(which="kdv", **dict(MEMO_JAC, h=h))
+
+
+@pytest.mark.parametrize("A", [(1, 1), (0, 1), (-1, 2)])
+def test_jacobian_rejects_repeated_or_nonpositive_index(monkeypatch, A):
+    # these used to make reports and then fail as "ill-conditioned"
+    made = []
+    monkeypatch.setattr(inv, "frequency_report", lambda *a, **k: made.append(a))
+    inv._family_point.cache_clear()
+    with pytest.raises(ValidationError, match="distinct and at least 1"):
+        inv.frequency_jacobian(which="kdv", **dict(MEMO_JAC, A=A))
+    assert made == []
 
 
 def test_family_memo_misses_on_N_and_on_one_coefficient():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdvfreq.errors import ValidationError
-from kdvfreq.seqspace import (WeightedSeq, inf_product, op_A, op_G,
+from kdvfreq.seqspace import (inf_product, op_A, op_G,
                               schur_invertible, sin_product, weighted_norm)
 
 
@@ -27,13 +27,6 @@ def test_op_A_diagonal_exclusion_exact():
         e[k - 1] = 1.0
         assert op_A(e)[k - 1] == 0.0
         assert op_G(e)[k - 1] == 0.0
-
-
-def test_op_A_weighted_seq_label():
-    x = WeightedSeq(np.ones(8), s=-1.0, p=2.0)
-    y = op_A(x)
-    assert isinstance(y, WeightedSeq)
-    assert y.s == 0.0 and y.p == 2.0
 
 
 def test_op_A_norm_ratio_envelope():
@@ -83,7 +76,7 @@ def test_op_G_constant_ones():
 
 
 def test_inf_product_trivial():
-    val, bound = inf_product(np.zeros(5), "bound")
+    val, bound = inf_product(np.zeros(5))
     assert val == 1.0 and bound == 0.0
 
 
@@ -92,7 +85,7 @@ def test_inf_product_bound_500_samples():
     for _ in range(500):
         a = rng.standard_normal(32)
         a *= 0.3 / max(1.0, np.sum(np.abs(a)))      # S <= 0.3
-        val, bound = inf_product(a, "bound")
+        val, bound = inf_product(a)
         assert abs(val - 1.0) <= bound
 
 
@@ -101,13 +94,13 @@ def test_inf_product_bound_complex_samples():
     for _ in range(200):
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a *= 0.25 / max(1.0, np.sum(np.abs(a)))
-        val, bound = inf_product(a, "bound")
+        val, bound = inf_product(a)
         assert abs(val - 1.0) <= bound
 
 
 def test_inf_product_rejects_large_terms():
     with pytest.raises(ValidationError):
-        inf_product(np.array([0.9]), "bound")
+        inf_product(np.array([0.9]))
 
 
 def test_sin_product_quarter_pi2():
