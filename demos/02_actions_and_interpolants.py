@@ -2,8 +2,9 @@
 
 The action of each gap comes from a Gauss-Chebyshev quadrature along the
 gap; its gap-normalized form 8 n pi I_n / gamma_n^2 tends to 1. The psi
-functions are solved from their contour conditions and reproduce the
-Kronecker normalization table.
+functions come from one linear solve of their contour conditions, keep the
+prefactor 2/(n pi) to rounding and reproduce the Kronecker normalization
+table.
 """
 import numpy as np
 
@@ -20,11 +21,11 @@ for n in range(1, 11):
     print(f"{n:>2} {float(spec.gamma[n]):>12.3e} {acts.I[n]:>14.6e} "
           f"{acts.ratio[n]:>12.8f} {acts.err[n]:>10.1e}")
 
-print("\npsi functions: the gap roots by the lambda* sweep, then the normalization row")
+print("\npsi functions: one linear solve of every condition, then refinement")
 psis = {n: inv.psi_for(spec, n) for n in range(1, 7)}
 for n in (1, 2, 3):
     p = psis[n]
-    print(f"  psi_{n}: {p.iterations} sweeps, prefactor deviation "
+    print(f"  psi_{n}: {p.iterations} refinement steps, prefactor deviation "
           f"rho = {p.rho:+.2e}, residuals "
           + ", ".join(f"{k}:{v:.1e}" for k, v in sorted(p.residuals.items())))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 
-# No caller in the package since the psi solves run in a plain loop. It stays
+# No caller in the package since every psi comes from one solve. It stays
 # only because perfbench/tracer.py wraps it by name and reports util.* from
 # it; it goes with the next change to the benchmark.
 def parallel_map(fn, items, jobs: int = 1) -> list:

@@ -12,8 +12,8 @@ truncation residual, plus 8 eps (|lam| + 1). A gap is open when gamma
 exceeds max(3 bound, 1e-9); below that floor it is reported exactly
 collapsed. The critical points lam_n^* solve the gap conditions
 sum_j (lam_n^* - lam_j) chi_n(lam_j) = 0 over the Chebyshev nodes of each
-open gap, settled by the weighted-mean sweep ``_gap_roots`` that also
-settles the roots of every psi_n.
+open gap, settled by the weighted-mean sweep ``_gap_roots``. Every psi_n is
+then one column of a single linear solve on the node block (``_psi_family``).
 
 The discriminant Delta(lam) = y1(1) + y2'(1) and its lam-derivative come
 from shooting across one period. Shooting serves the public discriminant
@@ -23,6 +23,8 @@ cross-checks in ``roots``; the frequency pipeline makes no shooting call.
 from __future__ import annotations
 
 import json
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -117,7 +119,8 @@ class HillSpectrum:
     reported collapsed, and ``gamma_rel_err`` bounds the relative error of
     each open gamma. ``potential`` is the potential the spectrum belongs to.
     ``mu`` is solved by shooting on first access; the node block ``_block``
-    that every gap quadrature reads is built on first use too (by lam^*).
+    that every gap quadrature reads is built on first use too (by lam^*), and
+    so is ``_psi``, the solve that gives every psi_n.
     """
 
     lambda_plus: np.ndarray
@@ -142,6 +145,11 @@ class HillSpectrum:
         op = self.open_gap
         return _build_gap_nodes(self.tau[op], self.gamma[op], self.lam0,
                                 cheb_nodes(NODES).astype(self.tau.dtype))
+
+    @cached_property
+    def _psi(self) -> PsiFamily:
+        """The weights and node values of psi_1..psi_N."""
+        return _psi_family(self)
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -283,27 +291,76 @@ def _build_gap_nodes(tau, gamma, lam0, t) -> GapNodes:
     return GapNodes(t, lam, vs, np.sqrt(lam - lam0))
 
 
-def _gap_roots(block, tau, gamma, roots, eps, max_iter=50, keep=None):
+def _gap_roots(block, tau, gamma, eps):
     """The roots s_k of the block's gap conditions
     sum_j (s_k - lam_kj) w_kj = 0, w = products(s) / root on row k: the
     weighted-mean fixed point s_k = tau_k + (gamma_k / 2) sum_j t_j w_kj /
-    sum_j w_kj, every row at once from the given roots, with row ``keep``
-    held. Taken as an offset from tau_k, so that rounding scales with
-    gamma_k. lam^* holds no row; psi_n holds sigma_n = lam_n^*.
-
-    Returns the roots and the number of sweeps, which is None when some
-    change still exceeds 4 eps |tau_k| after max_iter sweeps."""
+    sum_j w_kj from s = tau, taken as an offset from tau_k so that rounding
+    scales with gamma_k, until no change exceeds 4 eps |tau_k|."""
     settled = 4.0 * eps * np.abs(tau.astype(float))
-    for sweep in range(1, max_iter + 1):
+    roots = tau
+    for _ in range(50):
         w = block.products(roots) / block.root
         new = tau + (gamma / 2) * (np.sum(block.t * w, axis=1) / np.sum(w, axis=1))
-        if keep is not None:
-            new[keep] = roots[keep]
-        change = np.abs((new - roots).astype(float))
-        roots = new
+        change, roots = np.abs((new - roots).astype(float)), new
         if np.all(change <= settled):
-            return roots, sweep
-    return roots, None
+            return roots
+    raise NumericalError("critical points lam_n^* did not settle")
+
+
+def _collapsed_quotient(spec: HillSpectrum, n: int):
+    """chi_n(tau_n) at a collapsed gap n: n pi / sqrt(tau_n - lam0) times
+    prod_{open m} (lam_m^* - tau_n) / varsigma_m(tau_n), m ascending."""
+    lam, opens = spec.tau[n], spec.open_gap
+    fac = (spec.lambda_dot[opens] - lam) / _varsigma(spec.tau[opens], spec.gamma[opens], lam)
+    return n * math.pi / np.sqrt(lam - spec.lam0) * np.prod(fac)
+
+
+REFINE = 2      # refinement steps of the psi solve after its float64 solve
+
+# psi_n = -2 DeltaDot(lam) (sum_j r[n-1, j] / (lam - lam_j^*) + c[n-1] / (lam - tau_n)),
+# j over the open gaps, c = 0 unless gap n is collapsed; node_values[n-1] holds
+# g_nk, residuals[n-1, k] |condition integral - delta_nk| of open gap k, in float.
+PsiFamily = namedtuple("PsiFamily", "r c node_values residuals")
+
+
+def _psi_family(spec: HillSpectrum) -> PsiFamily:
+    """psi_1..psi_N from one linear solve of the gap conditions
+    (1/2 pi) oint_k psi_n / sqrt_c(Delta^2 - 4) dlam = delta_nk. On open gap
+    k, DeltaDot varsigma_k / (i sqrt_c(Delta^2 - 4)) = -(lam_k^* - lam) P_k / 2
+    with P_k = products(lam^*)_k / root, so the pole p adds the column
+    B_pk = (lam_k^* - lam) / (lam - p) P_k to g_nk. M_kj, the node mean of
+    B_jk over the open poles, serves every n: an open n solves M r = e_n, a
+    collapsed n M r = -c b, b the node means of the column of its pole tau_n,
+    c = -n pi / chi_n(tau_n) from its residue. One float64 solve and REFINE
+    refinement steps, the residual in the spectrum dtype; the columns are
+    dropped once the node values are formed."""
+    block, star, N = spec._block, spec.lambda_dot, spec.N
+    opens, shut = np.nonzero(spec.open_gap)[0], np.nonzero(~spec.open_gap[1:])[0] + 1
+    d, dtype = opens.size, spec.tau.dtype
+    P = block.products(star[opens]) / block.root
+    num = (star[opens, None] - block.lam) * P           # B_pk (lam - p)
+    B = block.lam - star[opens, None, None]             # the open poles' columns
+    B[np.arange(d), np.arange(d)] = 1                   # lam can meet lam_k^*
+    np.divide(num, B, out=B)
+    B[np.arange(d), np.arange(d)] = -P
+    M = np.sum(B, axis=2).T / NODES
+    c, rhs = np.zeros(N, dtype=dtype), np.zeros((d, N), dtype=dtype)
+    rhs[np.arange(d), opens - 1] = 1
+    for n in shut:                  # the column of tau_n, formed where it is read
+        c[n - 1] = -n * math.pi / _collapsed_quotient(spec, n)
+        rhs[:, n - 1] = -c[n - 1] * np.sum(num / (block.lam - spec.tau[n]), axis=1) / NODES
+    r = np.zeros_like(rhs)
+    for _ in range(1 + REFINE):
+        r += np.linalg.solve(M.astype(float), (rhs - M @ r).astype(float))
+    res = np.abs((M @ r - rhs).astype(float)).T
+    if not (np.all(np.isfinite(res)) and np.all(np.isfinite(c))):
+        raise NumericalError("degenerate psi conditions")
+    g = (r.T @ B.reshape(d, d * NODES)).reshape(N, d, NODES)
+    for n in shut:
+        g[n - 1] += c[n - 1] * (num / (block.lam - spec.tau[n]))
+    g.flags.writeable = False
+    return PsiFamily(r.T, c, g, res)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +426,7 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     )
     ns = np.nonzero(open_mask)[0]
     if ns.size:
-        lam_star[ns], sweeps = _gap_roots(spec._block, tau[ns], gamma[ns], tau[ns], eps)
-        if sweeps is None:
-            raise NumericalError("critical points lam_n^* did not settle")
+        lam_star[ns] = _gap_roots(spec._block, tau[ns], gamma[ns], eps)
     return spec
 
 

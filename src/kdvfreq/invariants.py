@@ -15,7 +15,7 @@ import numpy as np
 
 from . import roots
 from .errors import NumericalError, ValidationError
-from .hill import NODES, HillSpectrum, _varsigma, periodic_spectrum
+from .hill import NODES, HillSpectrum, _collapsed_quotient, _varsigma, periodic_spectrum
 from .potentials import Potential, evaluate, evaluate_derivative
 from .roots import PsiFunction, cheb_nodes, psi_solve
 
@@ -95,8 +95,7 @@ def action_vector(spec: HillSpectrum, N: int | None = None) -> ActionVector:
     err = np.zeros(N + 1)
     for n in range(1, N + 1):
         if not spec.open_gap[n]:
-            pref, prod = roots._collapsed_quotient(spec, spec.lambda_dot, n)
-            ratio[n] = float(pref * prod)
+            ratio[n] = float(_collapsed_quotient(spec, n))
     opens = spec.open_indices()
     ns = [n for n in opens if n <= N]
     block = spec._block
@@ -146,9 +145,8 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction], N: int) -> MomentT
 
     Odd Omega moments and even R moments vanish identically (short circuit),
     as does every moment of a collapsed gap k. Per n, g_nk on every open
-    gap k is read from the node values psi_n carries, or formed from
-    the spectrum's node block without them; each moment is a sum along its
-    row, the same sum as gap by gap (see ``roots``).
+    gap k is read from the node values psi_n carries; each moment is a sum
+    along its row, the same sum as gap by gap.
     """
     K = spec.N
     for n in range(1, N + 1):
@@ -161,8 +159,7 @@ def moments(spec: HillSpectrum, psis: dict[int, PsiFunction], N: int) -> MomentT
     F2 = F ** 2
     w = 2.0 * math.pi / NODES
     for n in range(1, N + 1):
-        g = np.asarray(roots._block_quotients(spec, psis[n], 0, len(opens)),
-                       dtype=float)
+        g = np.asarray(psis[n].node_values, dtype=float)
         om2[n, opens] = w * np.sum(F2 * g, axis=1)
         om4[n, opens] = w * np.sum(F2 * F2 * g, axis=1)
     return MomentTable(omega2=om2, omega4=om4, R=_r_moments(spec, F), N=N, K=K)
@@ -392,6 +389,8 @@ def frequency_jacobian(A, h: float, which: str = "kdv", family=None,
             return Potential(tuple(A), tuple(complex(e) for e in eps), 0.0)
     base = np.full(d, base_eps)
     N = N if N is not None else max(A) + 2
+    if N < max(A):
+        raise ValidationError(f"N={N} is below the largest index in A, {max(A)}")
 
     def measure(eps):
         I, om1, om2 = _family_point(family(eps), N)

@@ -60,15 +60,17 @@ class Potential:
 def make_potential(pairs, mean: float = 0.0) -> Potential:
     """Build a real potential from (mode, coefficient) pairs.
 
-    Modes must be distinct and nonzero (the mean is supplied separately);
-    reality is enforced by mirroring: a pair for mode -n fixes u_n = conj(u_-n).
+    Modes must be distinct nonzero integers, not booleans (the mean is
+    supplied separately); reality is enforced by mirroring: a pair for mode
+    -n fixes u_n = conj(u_-n).
     Supplying both +n and -n is rejected unless the values are conjugate.
     """
     pos: dict[int, complex] = {}
     seen: dict[int, complex] = {}
     for n, c in pairs:
-        n = int(n)
-        c = complex(c)
+        if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
+            raise ValueError(f"mode {n!r} is not an integer")
+        n, c = int(n), complex(c)
         if n == 0:
             raise ValueError("mode 0 is the mean; pass it via the `mean` argument")
         if not (np.isfinite(c.real) and np.isfinite(c.imag)):
@@ -155,5 +157,5 @@ def potential_from_json(text: str) -> Potential:
         raise ValueError("potential JSON must have 'mean' and 'modes' fields")
     if not isinstance(obj["modes"], list) or not all(isinstance(m, dict) for m in obj["modes"]):
         raise ValueError("potential 'modes' must be a list of {n, re, im} objects")
-    pairs = [(int(m["n"]), complex(float(m["re"]), float(m.get("im", 0.0)))) for m in obj["modes"]]
+    pairs = [(m["n"], complex(float(m["re"]), float(m.get("im", 0.0)))) for m in obj["modes"]]
     return make_potential(pairs, float(obj.get("mean", 0.0)))

@@ -9,19 +9,10 @@ exactly to every root quotient, so products run over the open gaps only.
 The products prod_m (s_m - lam) / varsigma_m(lam) at the nodes of the open
 gaps read one block per spectrum (``HillSpectrum._block``: the float64
 nodes in the spectrum dtype, every varsigma_m there, sqrt(lam - lam0)),
-built with lam^* and shared by psi, the condition integrals, F, the moments
-and the actions. Only the actions' error estimate forms other nodes, twice
-as many, one gap m at a time. Each factor divides by varsigma, the m == k
-factor is exactly 1 and m ascends, so every value is bit for bit that of a
-per-gap loop. The block holds 1, not the NaN varsigma, where a gap meets its
-own nodes: x87 long-double arithmetic on NaN operands is slow. A collapsed
-gap n enters through one point only, tau_n: the residue of psi_n there and
-chi_n(tau_n), one product over the open gaps (``_collapsed_quotient``).
-
-``psi_solve`` settles the roots of psi_n by the sweep that gives lam^*
-(``hill._gap_roots``). One products call at the settled roots gives the
-residuals, the normalization and the node values g_nk that the returned psi
-carries and ``invariants.moments`` reads.
+built with lam^* and shared by psi, F and the actions. Each factor divides
+by varsigma, the m == k factor is exactly 1 and m ascends, so every value is
+bit for bit that of a per-gap loop. ``psi_solve`` reads psi_n from the
+spectrum's one solve of every psi (``hill._psi_family``).
 """
 from __future__ import annotations
 
@@ -33,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonError, NumericalError, ValidationError
-from .hill import (NODES, HillSpectrum, cheb_nodes, discriminant_batch, _delta_noise,
-                   _gap_roots, _varsigma, _LPI)
+from .hill import (NODES, REFINE, HillSpectrum, cheb_nodes, discriminant_batch,
+                   _collapsed_quotient, _delta_noise, _LPI)
 from .potentials import Potential
 
 __all__ = ["PsiFunction", "psi_solve", "cheb_nodes", "gap_F_values",
@@ -110,30 +101,45 @@ def _fourier_tables(dtype):
 class PsiFunction:
     """Entire interpolation function psi_n = prefactor * prod (sigma_m - lam)/(m^2 pi^2).
 
-    sigma[m], m = 1..spec.N, holds the root in gap m (tau_m for collapsed
-    gaps, the critical point for m = n); the roots past spec.N are the free
-    values m^2 pi^2 and are not stored. ``rho`` is the relative deviation of
-    the solved prefactor from 2/(n pi). ``residuals`` holds |condition
-    integral| of every open gap k != n at the returned roots (before the
-    normalization), and ``iterations`` the number of sweeps that settled them.
-
-    ``node_values`` holds g_nk = psi_n varsigma_k / (i sqrt_c(Delta^2 - 4)),
-    the gap-k integrand with its 1/varsigma_k removed, at the nodes of every
-    open gap, one row per gap in ``open_indices`` order, at the sigma and rho
-    ``psi_solve`` leaves: read-only, tied to the node block they were formed
-    on, and dropped by ``dataclasses.replace`` (change sigma or rho through
-    it, not in place).
+    ``rho`` is the relative deviation of the prefactor from 2/(n pi), which
+    Kappeler and Poeschel prove exact; ``residuals`` holds |condition
+    integral| of every open gap k != n, ``iterations`` the refinement steps
+    of the solve. ``node_values`` (read-only, a view of the spectrum's solve)
+    holds g_nk = psi_n varsigma_k / (i sqrt_c(Delta^2 - 4)) at the nodes of
+    every open gap, one row per gap in ``open_indices`` order. ``sigma[m]``,
+    m = 1..spec.N, is the root in gap m (tau_m if collapsed, lam_n^* at
+    m = n), found on first access.
     """
 
     n: int
-    sigma: np.ndarray
     prefactor: float
     rho: float
     residuals: dict[int, float]
     iterations: int
-    node_values: np.ndarray | None = field(default=None, init=False, repr=False,
-                                           compare=False)
-    _node_block: object = field(default=None, init=False, repr=False, compare=False)
+    node_values: np.ndarray = field(repr=False, compare=False)
+    spec: HillSpectrum = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """The root in each open gap k != n of sum_j r_j / (lam - lam_j^*)
+        + c / (lam - tau_n) by the fixed point sigma_k = lam_k^* - r_k / T_k,
+        T_k the sum without its term j = k."""
+        spec, n = self.spec, self.n
+        r, c = spec._psi.r[n - 1], spec._psi.c[n - 1]
+        sigma = spec.lambda_dot.copy()
+        opens = np.nonzero(spec.open_gap)[0]
+        ks = np.nonzero(opens != n)[0]
+        star = s = sigma[opens[ks]]
+        settled = 4.0 * float(np.finfo(s.dtype).eps) * np.abs(s.astype(float))
+        for _ in range(50):
+            den = s[:, None] - sigma[opens]
+            den[np.arange(ks.size), ks] = np.inf
+            new = star - r[ks] / (np.sum(r / den, axis=1) + c / (s - spec.tau[n]))
+            change, s = np.abs((new - s).astype(float)), new
+            if np.all(change <= settled):
+                sigma[opens[ks]] = s
+                return sigma
+        raise NumericalError(f"psi_{n} roots did not settle")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -143,40 +149,6 @@ class PsiFunction:
             "residuals": {str(k): v for k, v in sorted(self.residuals.items())},
             "iterations": self.iterations,
         })
-
-
-def _collapsed_quotient(spec: HillSpectrum, roots: np.ndarray, n: int):
-    """n pi / sqrt(tau_n - lam0) and prod_{open m} (roots_m - tau_n) /
-    varsigma_m(tau_n) at a collapsed gap n, m ascending: with roots = sigma
-    their product is the residue of psi_n / (1 + rho) there, with roots =
-    lam^* it is chi_n(tau_n)."""
-    lam = spec.tau[n]
-    opens = spec.open_gap
-    fac = (roots[opens] - lam) / _varsigma(spec.tau[opens], spec.gamma[opens], lam)
-    return n * math.pi / np.sqrt(lam - spec.lam0), np.prod(fac)
-
-
-def _unit_quotients(n, sigma, ks, lam, root, prods) -> np.ndarray:
-    """g_nk / (1 + rho) at the nodes lam of the open gaps ks, from their
-    products prod_{m != k} (sigma_m - lam) / varsigma_m(lam)."""
-    g = (n * math.pi / root) * prods
-    other = ks != n
-    g[other] *= sigma[ks[other], None] - lam[other]
-    return g
-
-
-def _block_quotients(spec: HillSpectrum, psi: PsiFunction, lo: int = 0,
-                     hi: int | None = None) -> np.ndarray:
-    """g_nk at the nodes of the open gaps lo..hi-1 (in ``open_indices``
-    order), one row per gap: the node values psi carries when they were
-    formed on the spectrum's block, otherwise formed from that block."""
-    block = spec._block
-    if psi._node_block is block:
-        return psi.node_values[lo:hi]
-    opens = np.nonzero(spec.open_gap)[0]
-    g = _unit_quotients(psi.n, psi.sigma, opens[lo:hi], block.lam[lo:hi],
-                        block.root[lo:hi], block.products(psi.sigma[opens], lo, hi))
-    return (1.0 + psi.rho) * g
 
 
 def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int) -> float:
@@ -191,56 +163,27 @@ def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int) -> float:
     if not spec.open_gap[k]:
         if k != psi.n:
             return 0.0
-        # residue at tau_n of the simple pole 1/(tau_n - lam)
-        pref, prod = _collapsed_quotient(spec, psi.sigma, k)
-        return float((1.0 + psi.rho) * pref * prod)
+        # residue at tau_n of c / (lam - tau_n)
+        return float(-spec._psi.c[k - 1] * _collapsed_quotient(spec, k) / (k * math.pi))
     i = spec.open_indices().index(k)
-    return float(np.sum(_block_quotients(spec, psi, i, i + 1)[0]) / NODES)
+    return float(np.sum(psi.node_values[i]) / NODES)
 
 
-def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8,
-              max_iter: int = 50) -> PsiFunction:
-    """Solve the gap conditions for psi_n.
+def psi_solve(spec: HillSpectrum, n: int, tol: float = 1e-8) -> PsiFunction:
+    """psi_n from the spectrum's one solve of every psi (``hill._psi_family``).
 
-    The roots sigma_k of the open gaps k != n solve their zero conditions
-    (scale invariant) by the sweep that gives lam^* (``hill._gap_roots``),
-    from tau_k and with sigma_n = lam_n^* held; collapsed gaps pin
-    sigma_k = tau_k exactly. One products call at the settled roots gives the
-    residuals, the prefactor (the k = n condition) and the node values psi
-    carries. Raises NewtonError when the roots do not settle in max_iter
-    sweeps, or when a residual exceeds tol.
+    Raises NewtonError when the condition integral of some open gap k != n
+    exceeds tol.
     """
     if n < 1 or n > spec.N:
         raise ValidationError(f"psi index n={n} outside spectrum range 1..{spec.N}")
-    sigma = spec.tau.copy()
-    sigma[n] = spec.lambda_dot[n]
-    opens = spec.open_indices()
-    block = spec._block
-    sweeps = 0
-    if any(k != n for k in opens):
-        keep = opens.index(n) if spec.open_gap[n] else None
-        sigma[opens], sweeps = _gap_roots(
-            block, spec.tau[opens], spec.gamma[opens], sigma[opens],
-            float(np.finfo(sigma.dtype).eps), max_iter, keep)
-        if sweeps is None:
-            raise NewtonError(f"psi_{n} roots did not settle in {max_iter} sweeps")
-
-    g = _unit_quotients(n, sigma, np.array(opens, dtype=int), block.lam, block.root,
-                        block.products(sigma[opens]))
-    r = np.sum(g, axis=1) / NODES
-    res = {k: float(abs(r[i])) for i, k in enumerate(opens) if k != n}
-    worst = np.max(list(res.values()), initial=0.0)
+    fam = spec._psi
+    res = {k: float(fam.residuals[n - 1, i])
+           for i, k in enumerate(spec.open_indices()) if k != n}
+    worst = max(res.values(), default=0.0)
     if not worst <= tol:
         raise NewtonError(f"psi_{n} conditions not met: max residual {worst:.3e}")
-    psi = PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                      rho=0.0, residuals=res, iterations=sweeps)
-    c_n = float(r[opens.index(n)]) if spec.open_gap[n] else \
-        condition_integral(spec, psi, n)
-    if c_n == 0.0 or not np.isfinite(c_n):
-        raise NumericalError(f"degenerate normalization integral for psi_{n}")
-    psi.rho = 1.0 / c_n - 1.0
-    psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
-    psi.node_values = (1.0 + psi.rho) * g
-    psi.node_values.flags.writeable = False
-    psi._node_block = block
-    return psi
+    rho = float(-(np.sum(fam.r[n - 1]) + fam.c[n - 1]) / (n * spec.tau.dtype.type(_LPI)) - 1)
+    return PsiFunction(n=n, prefactor=(2.0 / (n * math.pi)) * (1.0 + rho), rho=rho,
+                       residuals=res, iterations=REFINE if fam.r.size else 0,
+                       node_values=fam.node_values[n - 1], spec=spec)

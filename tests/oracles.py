@@ -10,12 +10,19 @@ The references are helpers only tests call: the gap nodes, the integrands
 g_nk and chi_n evaluated one gap at a time, the canonical root of
 Delta^2 - 4 off the open gaps, the Floquet exponent F_n by shooting,
 moments with both gap sides quadratured apart, the per-gap bodies of
-``psi_solve``, ``moments`` and ``action_vector`` that evaluate every
-standard root where it is used, for the bit-identity tests of the shared
-node block, a per-gap Newton solve of the psi roots, independent of the
-sweep ``psi_solve`` runs, and the frequency sums one index n at a time.
+``moments`` and ``action_vector`` that evaluate every standard root where
+it is used, for the bit-identity tests of the shared node block, and the
+frequency sums one index n at a time.
+
+The psi references solve the paper's conditions
+(1/2 pi) oint_k psi_n / sqrt_c(Delta^2 - 4) dlam = delta_nk in product form,
+psi_n = (2 / (n pi)) (1 + rho) prod_{m != n} (sigma_m - lam) / (m^2 pi^2),
+for the roots sigma: by the weighted-mean sweep that gives lam^* and by
+Newton, each gap at a time. Neither is the linear solve ``psi_solve``
+reads.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -102,8 +109,8 @@ def rectangle_action(q, spec, n, pts_per_side=160, pad=None):
 
 
 def dense_sigma_root(spec, psi, k, width=0.45, npts=4001):
-    """Root of the gap-k condition integral in sigma_k by dense scanning,
-    independent of the sweep that settles psi's roots."""
+    """Root of the gap-k condition integral (the paper's integrand) in
+    sigma_k by dense scanning, the other roots held at psi's."""
     tau = float(spec.tau[k])
     g = float(spec.gamma[k])
     sigmas = np.linspace(tau - width * g, tau + width * g, npts)
@@ -179,10 +186,19 @@ def gap_nodes(spec, n, t=None):
 
 
 def _quotient_factors(spec, roots, n, k, lam):
-    """n pi / sqrt(lam - lam0) and the factors (roots_m - lam) / varsigma_m(lam)
-    of every open gap m != k, one row each, at real points lam of gap k."""
+    """n pi / sqrt(lam - lam0), times 1 / (roots_n - lam) when k != n, and the
+    factors (roots_m - lam) / varsigma_m(lam) of every open gap m != k, one
+    row each, at real points lam of gap k.
+
+    psi_n has no root in gap n, so on a gap k != n the product's factor
+    (roots_n - lam) / varsigma_n(lam) of an open n becomes the paper's
+    1 / varsigma_n(lam), and a collapsed n, absent from the product, adds
+    its 1 / varsigma_n(lam) = 1 / (tau_n - lam): both are the row scale
+    1 / (roots_n - lam), with roots_n = lam_n^* (tau_n when collapsed)."""
     open_ns = [m for m in spec.open_indices() if m != k]
     pref = n * math.pi / np.sqrt(lam - spec.lam0)
+    if k != n:
+        pref = pref / (roots[n] - lam)
     if not open_ns:
         return pref, np.ones((0, lam.size))
     vs = _varsigma(spec.tau[open_ns][:, None], spec.gamma[open_ns][:, None], lam[None, :])
@@ -306,14 +322,36 @@ def _gap_products(tau, gamma, roots, lam0, t):
 
 
 def condition_integral_per_gap(spec, psi, k):
-    """``roots.condition_integral`` on an open gap k, per gap."""
+    """``roots.condition_integral`` on an open gap k, per gap; on the
+    collapsed gap n of psi_n, the residue at tau_n. In the spectrum dtype."""
+    if not spec.open_gap[k]:
+        pref, fac = _quotient_factors(spec, psi.sigma, psi.n, k,
+                                      np.atleast_1d(spec.tau[k]))
+        return ((1 + psi.rho) * pref * np.prod(fac, axis=0))[0]
     g = psi_quotient_on_gap(spec, psi, k, gap_nodes(spec, k))
-    return float(np.sum(g) / NODES)
+    return np.sum(g) / NODES
+
+
+def psi_from_roots(spec, n, sigma, residuals=None, iterations=0):
+    """psi_n in product form at the roots sigma, its rho (spectrum dtype)
+    from its own k = n condition: a namespace with n, sigma, rho, prefactor,
+    residuals and iterations."""
+    psi = SimpleNamespace(n=n, sigma=sigma, rho=sigma.dtype.type(0),
+                          residuals=residuals, iterations=iterations)
+    c_n = condition_integral_per_gap(spec, psi, n)
+    if c_n == 0.0 or not np.isfinite(c_n):
+        raise NumericalError(f"degenerate normalization integral for psi_{n}")
+    psi.rho = 1.0 / c_n - 1.0
+    psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
+    return psi
 
 
 def psi_solve_per_gap(spec, n, tol=1e-8, max_iter=50):
-    """``roots.psi_solve`` with the standard roots rebuilt at every sweep and
-    every row of the sweep summed on its own."""
+    """psi_n by the weighted-mean sweep that gives lam^*, with the paper's
+    integrand: row k != n of the sweep carries the scale 1 / (sigma_n - lam)
+    (see ``_quotient_factors``), and every row is summed on its own with the
+    standard roots rebuilt at every sweep. Returns a namespace with n, sigma,
+    rho, prefactor, residuals and iterations (the sweeps)."""
     sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]
     opens = spec.open_indices()
@@ -325,10 +363,11 @@ def psi_solve_per_gap(spec, n, tol=1e-8, max_iter=50):
     if rows:
         s = sigma[opens]
         for sweeps in range(1, max_iter + 1):
-            _, w = _gap_products(tau, gamma, s, spec.lam0, t)
+            lam, w = _gap_products(tau, gamma, s, spec.lam0, t)
             new = s.copy()
             for i in rows:
-                new[i] = tau[i] + (gamma[i] / 2) * (np.sum(t * w[i]) / np.sum(w[i]))
+                wi = w[i] / (sigma[n] - lam[i])
+                new[i] = tau[i] + (gamma[i] / 2) * (np.sum(t * wi) / np.sum(wi))
             change = np.abs((new - s).astype(float))
             s = new
             if np.all(change <= settled):
@@ -336,25 +375,19 @@ def psi_solve_per_gap(spec, n, tol=1e-8, max_iter=50):
         else:
             raise NewtonError(f"psi_{n} roots did not settle")
         sigma[opens] = s
-    psi = R.PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                        rho=0.0, residuals={}, iterations=sweeps)
-    psi.residuals = {opens[i]: abs(condition_integral_per_gap(spec, psi, opens[i]))
-                     for i in rows}
-    if not np.max(list(psi.residuals.values()), initial=0.0) <= tol:
+    probe = SimpleNamespace(n=n, sigma=sigma, rho=sigma.dtype.type(0))
+    res = {opens[i]: float(abs(condition_integral_per_gap(spec, probe, opens[i])))
+           for i in rows}
+    if not np.max(list(res.values()), initial=0.0) <= tol:
         raise NewtonError(f"psi_{n} conditions not met")
-    c_n = (condition_integral_per_gap(spec, psi, n) if spec.open_gap[n]
-           else R.condition_integral(spec, psi, n))
-    if c_n == 0.0 or not np.isfinite(c_n):
-        raise NumericalError(f"degenerate normalization integral for psi_{n}")
-    psi.rho = 1.0 / c_n - 1.0
-    psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
-    return psi
+    return psi_from_roots(spec, n, sigma, res, sweeps)
 
 
 def psi_newton_per_gap(spec, n, tol=1e-8, max_iter=50):
-    """The psi_n roots by Newton on the zero conditions, the standard roots
-    rebuilt at every step: the Jacobian in the roots, steps capped at
-    0.45 gamma, and one more step once the residuals are within tol."""
+    """The psi_n roots by Newton on the zero conditions of the paper's
+    integrand, the standard roots rebuilt at every step: the Jacobian in the
+    roots, steps capped at 0.45 gamma, and one more step once the residuals
+    are within tol."""
     dtype = spec.tau.dtype
     sigma = spec.tau.copy()
     sigma[n] = spec.lambda_dot[n]
@@ -367,7 +400,8 @@ def psi_newton_per_gap(spec, n, tol=1e-8, max_iter=50):
     def residuals_and_jac(sig):
         lam, prod = _gap_products(spec.tau[opens], spec.gamma[opens], sig[opens],
                                   spec.lam0, t)
-        lam, prod = lam[rows], (n * math.pi) * prod[rows]
+        lam = lam[rows]
+        prod = (n * math.pi) * prod[rows] / (sig[n] - lam)
         s = sig[unknowns]
         g = prod * (s[:, None] - lam)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,19 +427,20 @@ def psi_newton_per_gap(spec, n, tol=1e-8, max_iter=50):
         else:
             raise NewtonError(f"psi_{n} conditions not met")
         res = {k: float(abs(r[a])) for a, k in enumerate(unknowns)}
-    psi = R.PsiFunction(n=n, sigma=sigma, prefactor=2.0 / (n * math.pi),
-                        rho=0.0, residuals=res, iterations=iterations)
-    c_n = (condition_integral_per_gap(spec, psi, n) if spec.open_gap[n]
-           else R.condition_integral(spec, psi, n))
-    if c_n == 0.0 or not np.isfinite(c_n):
-        raise NumericalError(f"degenerate normalization integral for psi_{n}")
-    psi.rho = 1.0 / c_n - 1.0
-    psi.prefactor = (2.0 / (n * math.pi)) * (1.0 + psi.rho)
-    return psi
+    return psi_from_roots(spec, n, sigma, res, iterations)
+
+
+def psi_values_on_gap(spec, psi, k):
+    """g_nk at the NODES nodes of open gap k: the node values psi carries
+    (a psi of ``roots.psi_solve``), else the product form at its roots."""
+    if getattr(psi, "node_values", None) is not None:
+        return psi.node_values[spec.open_indices().index(k)]
+    return psi_quotient_on_gap(spec, psi, k, gap_nodes(spec, k))
 
 
 def moments_per_gap(spec, psis, N, K=None):
-    """``invariants.moments`` as (omega2, omega4, R), gap by gap."""
+    """``invariants.moments`` as (omega2, omega4, R), gap by gap, with g_nk
+    from ``psi_values_on_gap``."""
     K = spec.N if K is None else K
     Fv = inv._F_table(spec)
     om2 = np.zeros((N + 1, K + 1))
@@ -414,10 +449,9 @@ def moments_per_gap(spec, psis, N, K=None):
     t = R.cheb_nodes(NODES)
     root_w = np.sqrt(1.0 - t * t)
     for k in [k for k in spec.open_indices() if k <= K]:
-        lam = gap_nodes(spec, k, t)
         F2 = np.asarray(Fv[k], dtype=float) ** 2
         for n in range(1, N + 1):
-            g = np.asarray(psi_quotient_on_gap(spec, psis[n], k, lam), dtype=float)
+            g = np.asarray(psi_values_on_gap(spec, psis[n], k), dtype=float)
             om2[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * g))
             om4[n, k] = (2.0 * math.pi / NODES) * float(np.sum(F2 * F2 * g))
         gk = float(spec.gamma[k])

@@ -329,6 +329,9 @@ READS_POTENTIAL = {"spectrum", "actions", "freq", "hamiltonians", "evolve", "cro
 BAD_POTENTIALS = {
     "@list-modes": '{"mean": 0.0, "modes": [[1, 0.05, 0.0]]}',
     "@null-mean": '{"mean": null, "modes": []}',
+    # read as mode 1 before modes had to be integers
+    "@half-mode": '{"mean": 0.0, "modes": [{"n": 1.5, "re": 0.05, "im": 0.0}]}',
+    "@bool-mode": '{"mean": 0.0, "modes": [{"n": true, "re": 0.05, "im": 0.0}]}',
 }
 
 
@@ -363,6 +366,8 @@ BAD_POTENTIALS = {
     ["flow-exp", "--which", "kdv2-hs", "--sigma", "0.5"],
     ["freq", "--n", "1..x"],
     ["resonance", "--A", "1,1", "--Kmax", "1", "--window", "3"],
+    ["spectrum", "--N", "2", "--potential", "@half-mode"],
+    ["spectrum", "--N", "2", "--potential", "@bool-mode"],
 ])
 def test_bad_value_exit_2(capsys, tmp_path, pot_file, argv):
     for i, arg in enumerate(argv):

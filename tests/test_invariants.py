@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from kdvfreq.potentials import (cosine_sum, evaluate, evaluate_derivative,
                                 make_potential, single_mode)
 from kdvfreq.roots import condition_integral, psi_solve
 
-from oracles import (moment_without_shortcircuit, r_moment_without_shortcircuit,
-                     rectangle_action)
+from oracles import (moment_without_shortcircuit, moments_per_gap,
+                     r_moment_without_shortcircuit, rectangle_action)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +156,8 @@ def test_freq_report_mean_shift():
 
 def test_sigma_vs_tau_sensitivity():
     # replacing the solved sigma by tau changes omega1* by less than the
-    # reported tail estimate at small amplitude
+    # reported tail estimate at small amplitude; the substituted psi is
+    # evaluated in the oracles' product form
     q = single_mode(1, 0.05)
     spec = inv.spectrum_for(q, 4)
     psis = {n: inv.psi_for(spec, n) for n in range(1, 5)}
@@ -163,14 +166,13 @@ def test_sigma_vs_tau_sensitivity():
     o1, tail = o1s[1], tails[1]
     lazy = {}
     for n, p in psis.items():
-        import dataclasses
         sig = p.sigma.copy()
         for k in spec.open_indices():
             if k != n:
                 sig[k] = spec.tau[k]
-        lazy[n] = dataclasses.replace(p, sigma=sig)
-    mom2 = inv.moments(spec, lazy, 4)
-    o1b = inv.frequency_sums(spec, mom2)[0][1]
+        lazy[n] = SimpleNamespace(n=n, sigma=sig, rho=p.rho)
+    om2, om4, R = moments_per_gap(spec, lazy, 4)
+    o1b = inv.frequency_sums(spec, inv.MomentTable(om2, om4, R, 4, spec.N))[0][1]
     assert o1 != o1b                      # the moments read the substituted roots
     assert abs(o1 - o1b) <= tail + 1e-10
 
@@ -335,6 +337,16 @@ def test_jacobian_rejects_repeated_or_nonpositive_index(monkeypatch, A):
     assert made == []
 
 
+def test_jacobian_rejects_N_below_the_index_set(monkeypatch):
+    # N = 3 < max(A) = 5 used to make a report and then raise IndexError
+    made = []
+    monkeypatch.setattr(inv, "frequency_report", lambda *a, **k: made.append(a))
+    inv._family_point.cache_clear()
+    with pytest.raises(ValidationError, match="below the largest index"):
+        inv.frequency_jacobian((1, 5), h=0.01, N=3)
+    assert made == []
+
+
 def test_family_memo_misses_on_N_and_on_one_coefficient():
     q = cosine_sum([(1, 0.07), (2, 0.05)])
     inv._family_point.cache_clear()
@@ -351,3 +363,41 @@ def test_family_memo_arrays_are_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[1] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# dH*/deps = sum_n omega_n* dI_n/deps along a family (omega = dH/dI)
+
+H_STEPS = (2e-3, 1e-3, 5e-4)
+
+
+@lru_cache(maxsize=None)
+def _identity_point(eps):
+    """Actions, both stars and H* (subtraction route) of
+    {1: 0.2 + eps, 2: 0.2 - eps/2, 3: 0.1 + 0.3 eps} at N = 24, long double."""
+    q = cosine_sum([(1, 0.2 + eps), (2, 0.2 - eps / 2), (3, 0.1 + 0.3 * eps)])
+    rep = inv.frequency_report(q, 24, dtype=np.longdouble)
+    h = inv.hamiltonians(rep.spectrum)
+    return (rep.actions.I, {"kdv": rep.omega1_star, "kdv2": rep.omega2_star},
+            {"kdv": h.H1_star_subtraction, "kdv2": h.H2_star_subtraction})
+
+
+@pytest.mark.parametrize("which", ["kdv", "kdv2"])
+def test_hamiltonian_derivative_is_the_frequency_sum(which):
+    # the defect dH*/deps - sum_n omega_n* dI_n/deps at eps = 0 by central
+    # differences at the steps H_STEPS, h^2 removed by Richardson on both
+    # pairs; the two Richardson values differ by what neither removes (the
+    # h^4 term and the rounding of H* over h), and their mean must lie within
+    # that change of 0
+    if np.finfo(np.longdouble).eps > 1e-17:
+        pytest.skip("needs 80-bit longdouble")
+    _, omega, _ = _identity_point(0.0)
+
+    def defect(h):
+        Ip, _, Hp = _identity_point(h)
+        Im, _, Hm = _identity_point(-h)
+        return (Hp[which] - Hm[which]) / (2 * h) - np.sum(omega[which] * (Ip - Im) / (2 * h))
+
+    d = [defect(h) for h in H_STEPS]
+    r1, r2 = (4 * d[1] - d[0]) / 3, (4 * d[2] - d[1]) / 3
+    assert abs(r1 + r2) / 2 <= abs(r1 - r2), (r1, r2)

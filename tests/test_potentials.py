@@ -49,6 +49,24 @@ def test_nonfinite_rejected():
         make_potential([(2, 1.0)], mean=np.inf)
 
 
+@pytest.mark.parametrize("mode", [1.5, True, np.True_, float("inf"), float("nan")])
+def test_non_integer_mode_rejected(mode):
+    # 1.5 and True used to be read as mode 1
+    with pytest.raises(ValueError, match="not an integer"):
+        make_potential([(mode, 0.1)])
+
+
+def test_integral_mode_types_accepted():
+    q = make_potential([(np.int64(2), 0.1), (3.0, 0.05)])
+    assert q.modes == (2, 3) and all(type(m) is int for m in q.modes)
+
+
+@pytest.mark.parametrize("n", ["1.5", "true", "2.5e0"])
+def test_json_non_integer_mode_rejected(n):
+    with pytest.raises(ValueError, match="not an integer"):
+        potential_from_json('{"mean": 0.0, "modes": [{"n": %s, "re": 0.1}]}' % n)
+
+
 def test_mode_zero_rejected():
     with pytest.raises(ValueError):
         make_potential([(0, 0.1)])

@@ -238,7 +238,7 @@ def test_psi_normalization_row(spec_two):
 def test_psi_localization_and_prefactor(spec_two):
     for n in (1, 2, 3):
         psi = psi_solve(spec_two, n)
-        assert abs(psi.rho) <= 0.2
+        assert abs(psi.rho) <= PREFACTOR_EPS * np.finfo(float).eps
         for k in spec_two.open_indices():
             if k == n:
                 continue
@@ -253,16 +253,33 @@ def test_psi_sigma_vs_dense_oracle(spec_two):
     assert abs(float(psi.sigma[2] - spec_two.lambda_dot[2])) <= 0.3 * float(spec_two.gamma[2])
 
 
-def test_psi_sweep_cap_and_tol_raise(spec_two):
+def test_psi_tol_raise(spec_two):
     assert len(spec_two.open_indices()) >= 2
-    with pytest.raises(NewtonError, match="did not settle"):
-        psi_solve(spec_two, 1, max_iter=1)
     with pytest.raises(NewtonError, match="conditions not met"):
         psi_solve(spec_two, 1, tol=-1.0)
 
 
+# |rho| <= PREFACTOR_EPS eps: the prefactor is exactly 2/(n pi) (Kappeler and
+# Poeschel), so rho carries only the rounding of the refined solve, of the sum
+# of the d weights and of the division by n pi, a few eps each
+PREFACTOR_EPS = 16
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("q, N", [(cosine_sum([(1, 0.2), (2, 0.2), (3, 0.1)]), 12),
+                                  (rough_profile(0.5, 16), 24)],
+                         ids=["three_mode", "rough"])
+def test_psi_prefactor_is_exact(q, N, dtype):
+    spec = inv.spectrum_for(q, N, dtype=dtype)
+    eps = float(np.finfo(dtype).eps)
+    for n in range(1, N + 1):
+        psi = psi_solve(spec, n)
+        assert abs(psi.rho) <= PREFACTOR_EPS * eps, (n, psi.rho)
+        assert psi.prefactor == 2.0 / (n * math.pi) * (1.0 + psi.rho)
+
+
 def test_psi_residuals_reach_the_rounding_floor_longdouble(q_two):
-    # the sweep settles the roots to rounding: the residuals end far below tol
+    # the refined solve meets the conditions to rounding: far below tol
     if np.finfo(np.longdouble).eps > 1e-17:
         pytest.skip("needs 80-bit longdouble")
     spec = periodic_spectrum(q_two, 8, dtype=np.longdouble)
@@ -271,12 +288,10 @@ def test_psi_residuals_reach_the_rounding_floor_longdouble(q_two):
         assert max(psi.residuals.values(), default=0.0) <= 1e-15, f"psi_{n}"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the psi rows k != n keep "
-                   "(sigma_n - lam)/varsigma_n, so the sweep's fixed point is lam^*")
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_psi_roots_are_not_the_critical_points(dtype):
     # some root sigma^n_k of an open gap k != n differs from lam^*_k by more
-    # than the sweep's settle tolerance 4 eps |tau_k|
+    # than the settle tolerance 4 eps |tau_k|: psi_n is not DeltaDot / (lam_n^* - lam)
     spec = inv.spectrum_for(cosine_sum([(1, 0.2), (2, 0.2), (3, 0.1)]), 12, dtype=dtype)
     eps = float(np.finfo(dtype).eps)
     moved = []
