@@ -29,7 +29,7 @@ for n in (1, 2, 3):
           f"rho = {p.rho:+.2e}, residuals "
           + ", ".join(f"{k}:{v:.1e}" for k, v in sorted(p.residuals.items())))
 
-om0 = inv.omega0_table(spec, psis, 6, 6)
+om0 = inv.omega0_table(psis)
 print("\nnormalization table Omega^(0)/(2 pi) (should be the identity):")
 with np.printoptions(precision=2, suppress=False, linewidth=100):
     print(om0[1:, 1:])

@@ -128,15 +128,15 @@ def _pairs(v):
     return v[:, 0], v[:, 1], v[2:, 1], v[:2, 0]
 
 
-def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
+def integrate_hill(qfun, lams, tol, with_dlam=True):
     """Integrate the fundamental (and variational) Hill system over [0, 1].
 
     qfun: elementwise x -> q(x); it is called once per step with the array
     of the 12 stage nodes and must return an array of q values of the same
     shape (a 0-d argument for the initial point). lams: 1-d array of
-    spectral parameters, real or complex. Returns the state matrix at x=1,
-    shape (4, B) or (8, B) with rows (y1, y1', y2, y2'[, z1, z1', z2, z2'])
-    where z = d y / d lam.
+    spectral parameters, real or complex; tol: the relative and absolute
+    error tolerance. Returns the state matrix at x=1, shape (4, B) or (8, B)
+    with rows (y1, y1', y2, y2'[, z1, z1', z2, z2']) where z = d y / d lam.
     """
     lams = np.atleast_1d(lams)
     dtype = np.result_type(lams.dtype, np.float64)
@@ -199,12 +199,12 @@ def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
         np.dot(weights, k2, out=sums)
         y_new = y + h * sums[0].reshape(dim, nb)
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.abs(sums[1:].reshape(2, dim, nb) / scale) ** 2
         e5, e3 = err.sum(axis=1) / dim
         denom = e5 + 0.01 * e3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = abs(h) * np.where(denom > 0, e5 / np.sqrt(denom), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a NaN estimate stays NaN
+            err = abs(h) * np.where(denom == 0, 0.0, e5 / np.sqrt(denom))
         err_norm = float(np.max(err))
 
         if not np.isfinite(err_norm):
@@ -222,13 +222,13 @@ def integrate_hill(qfun, lams, rtol, atol, with_dlam=True):
     return y
 
 
-def hill_endpoint_data(qfun, lams, rtol, atol, with_dlam=True):
+def hill_endpoint_data(qfun, lams, tol, with_dlam=True):
     """Endpoint quantities of the Hill system.
 
     Returns a dict with delta (= y1(1) + y2'(1)), y2_1, wronskian_residual and,
     when with_dlam, ddelta (= z1(1) + z2'(1)) and dy2_1 (= z2(1)).
     """
-    y = integrate_hill(qfun, lams, rtol, atol, with_dlam)
+    y = integrate_hill(qfun, lams, tol, with_dlam)
     out = {
         "delta": y[0] + y[3],
         "y2_1": y[2],

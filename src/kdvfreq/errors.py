@@ -18,7 +18,7 @@ class BracketError(NumericalError):
 
 
 class NewtonError(NumericalError):
-    """A root iteration (Newton, or the gap-root sweep) failed to converge."""
+    """A psi_n leaves a condition residual above its tolerance."""
 
 
 class PhaseWrapError(NumericalError):

@@ -74,11 +74,11 @@ class DiscriminantValue:
     wronskian_residual: float
 
 
-def discriminant_batch(q: Potential, lams, tol: float = 1e-11, with_dlam: bool = True):
+def discriminant_batch(q: Potential, lams, tol: float = 1e-11):
     """Vectorized discriminant data for an array of spectral parameters.
 
-    Returns a dict with keys delta, y2_1, wronskian_residual and (if
-    with_dlam) ddelta, dy2_1. Complex lams are supported.
+    Returns a dict with keys delta, ddelta, y2_1, dy2_1 and
+    wronskian_residual. Complex lams are supported.
     """
     lams = np.atleast_1d(lams)
     if np.iscomplexobj(lams):
@@ -87,7 +87,7 @@ def discriminant_batch(q: Potential, lams, tol: float = 1e-11, with_dlam: bool =
         dtype = np.result_type(lams.dtype, np.float64)
     real_dtype = np.empty(0, dtype=dtype).real.dtype
     qf = _qfun(q, real_dtype.type)
-    return hill_endpoint_data(qf, lams.astype(dtype), tol, tol, with_dlam=with_dlam)
+    return hill_endpoint_data(qf, lams.astype(dtype), tol)
 
 
 def discriminant(q: Potential, lam, tol: float = 1e-11) -> DiscriminantValue:
@@ -272,13 +272,13 @@ class GapNodes:
     vs: np.ndarray
     root: np.ndarray
 
-    def products(self, roots, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """prod_{m != k} (roots_m - lam_k) / varsigma_m(lam_k) for the listed
-        gaps k = lo..hi-1: (hi - lo, nodes), bit for bit a per-gap loop."""
-        hi = self.lam.shape[0] if hi is None else hi
-        fac = roots[:, None, None] - self.lam[None, lo:hi]
-        fac /= self.vs[:, lo:hi]
-        fac[np.arange(lo, hi), np.arange(hi - lo)] = 1
+    def products(self, roots) -> np.ndarray:
+        """prod_{m != k} (roots_m - lam_k) / varsigma_m(lam_k) for every listed
+        gap k: (d, nodes), bit for bit a per-gap loop."""
+        fac = roots[:, None, None] - self.lam
+        fac /= self.vs
+        i = np.arange(roots.size)
+        fac[i, i] = 1
         return np.prod(fac, axis=0)
 
 
@@ -430,7 +430,7 @@ def periodic_spectrum(q: Potential, N: int, dtype=np.float64) -> HillSpectrum:
     return spec
 
 
-def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:
+def _dirichlet(spec: HillSpectrum) -> np.ndarray:
     """mu_n by one batched bracketed Newton on y2(1, lam) over the open gaps;
     mu_n = tau_n on collapsed gaps.
 
@@ -450,7 +450,7 @@ def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:
     above = np.where(ns < spec.N, spec.lambda_minus[nxt] - hi_edge, below)
     pad = np.minimum(below, above) / 4
     lo, hi = lo_edge - pad, hi_edge + pad
-    ends = hill_endpoint_data(qf, np.concatenate([lo, hi]), tol, tol, with_dlam=False)
+    ends = hill_endpoint_data(qf, np.concatenate([lo, hi]), tol, with_dlam=False)
     flo = ends["y2_1"][:ns.size]
     if np.any(flo * ends["y2_1"][ns.size:] > 0):
         raise BracketError("Dirichlet eigenvalue not bracketed by its gap")
@@ -460,8 +460,8 @@ def _dirichlet(spec: HillSpectrum, max_iter: int = 80) -> np.ndarray:
 
     x = (lo + hi) / 2
     todo = np.arange(ns.size)
-    for _ in range(max_iter):
-        data = hill_endpoint_data(qf, x[todo], tol, tol)
+    for _ in range(80):
+        data = hill_endpoint_data(qf, x[todo], tol)
         f, df = data["y2_1"], data["dy2_1"]
         left = f * flo[todo] > 0
         lo[todo] = np.where(left, x[todo], lo[todo])

@@ -100,7 +100,7 @@ def action_vector(spec: HillSpectrum, N: int | None = None) -> ActionVector:
     ns = [n for n in opens if n <= N]
     block = spec._block
     r1 = _action_ratios(spec, ns, cheb_nodes(NODES), block.root[:len(ns)],
-                        block.products(spec.lambda_dot[opens], 0, len(ns)))
+                        block.products(spec.lambda_dot[opens])[:len(ns)])
     t2 = cheb_nodes(2 * NODES)
     tau, gamma, star = (a[opens][:, None] for a in (spec.tau, spec.gamma, spec.lambda_dot))
     lam = tau[:len(ns)] + t2 * (gamma[:len(ns)] / 2)
@@ -179,13 +179,13 @@ def _r_moments(spec: HillSpectrum, F: np.ndarray) -> dict:
     return R
 
 
-def omega0_table(spec: HillSpectrum, psis: dict[int, PsiFunction],
-                 N: int, K: int) -> np.ndarray:
-    """The normalization moments Omega_nk^(0) / (2 pi); identity when solved."""
-    out = np.zeros((N + 1, K + 1))
+def omega0_table(psis: dict[int, PsiFunction]) -> np.ndarray:
+    """Omega_nk^(0) / (2 pi) for n, k <= len(psis); identity when solved."""
+    N = len(psis)
+    out = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
-        for k in range(1, K + 1):
-            out[n, k] = roots.condition_integral(spec, psis[n], k)
+        for k in range(1, N + 1):
+            out[n, k] = roots.condition_integral(psis[n], k)
     return out
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import NewtonError, NumericalError, ValidationError
 from .hill import (NODES, REFINE, HillSpectrum, cheb_nodes, discriminant_batch,
                    _collapsed_quotient, _delta_noise, _LPI)
-from .potentials import Potential
 
 __all__ = ["PsiFunction", "psi_solve", "cheb_nodes", "gap_F_values",
            "gap_F_integrated", "condition_integral"]
@@ -35,14 +34,14 @@ __all__ = ["PsiFunction", "psi_solve", "cheb_nodes", "gap_F_values",
 # ---------------------------------------------------------------------------
 # Floquet exponent on gap sides
 
-def gap_F_values(q: Potential, spec: HillSpectrum) -> dict[int, np.ndarray]:
+def gap_F_values(spec: HillSpectrum) -> dict[int, np.ndarray]:
     """F_k at the Chebyshev nodes of every open gap (minus side), by shooting
-    at the nodes of the spectrum's block in one batched discriminant
-    evaluation."""
+    the spectrum's potential at the nodes of its block in one batched
+    discriminant evaluation."""
     ks = spec.open_indices()
     if not ks:
         return {}
-    d = discriminant_batch(q, spec._block.lam.ravel(), spec.ode_tol)
+    d = discriminant_batch(spec.potential, spec._block.lam.ravel(), spec.ode_tol)
     delta = np.asarray(d["delta"], dtype=float)
     out = {}
     for i, k in enumerate(ks):
@@ -151,13 +150,14 @@ class PsiFunction:
         })
 
 
-def condition_integral(spec: HillSpectrum, psi: PsiFunction, k: int) -> float:
+def condition_integral(psi: PsiFunction, k: int) -> float:
     """(1/2 pi) * contour integral of psi_n / sqrt_c(Delta^2 - 4) around gap k.
 
-    Equals delta_nk when psi_n solves its conditions. Collapsed gaps give
-    delta_nk exactly (Cauchy / residue); open gaps reduce to a Chebyshev sum
-    over the lower side.
+    The gap is one of psi.spec. Equals delta_nk when psi_n solves its
+    conditions. Collapsed gaps give delta_nk exactly (Cauchy / residue);
+    open gaps reduce to a Chebyshev sum over the lower side.
     """
+    spec = psi.spec
     if not 1 <= k <= spec.N:
         raise ValidationError(f"gap index {k} outside spectrum range 1..{spec.N}")
     if not spec.open_gap[k]:

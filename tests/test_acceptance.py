@@ -41,7 +41,7 @@ def test_criterion_01_free_operator_suite():
 
 
 def test_criterion_02_psi_normalization(spec_three, psis_three):
-    om0 = inv.omega0_table(spec_three, psis_three, 12, 12)
+    om0 = inv.omega0_table(psis_three)
     err = float(np.max(np.abs(om0[1:, 1:] - np.eye(12))))
     report(2, err <= 1e-6, f"max |Omega0/2pi - delta| = {err:.2e} over n,k <= 12")
 

@@ -188,10 +188,29 @@ def brute_force_offenders(A, c, kmax, window):
 @pytest.mark.parametrize("A, c, kmax, window", [
     ([1, 2], 0, 2, 8), ([1, 2], 0.5, 2, 8), ([2], -1.25, 3, 6),
     ([1, 3], 0, 0, 7), ([1, 2], 0, 3, 0), ([2, 3], 0, 2, 5), ([1], 0.5, 2, 4),
+    ([1, 2], 0, 32, 2), ([1, 2], 0.5, 32, 2),     # k_A = +-(32, -1): S5 = 0
 ])
 def test_resonance_scan_matches_brute_force(A, c, kmax, window):
     got = [(o.k_A, o.k_Z) for o in resonance_scan(A, c, kmax, window)]
     assert got == brute_force_offenders(A, c, kmax, window)
+
+
+@pytest.mark.parametrize("c", [0, 0.5])
+def test_resonance_scan_past_s5_zero(c):
+    # A = {1, 2}, kmax = 32, no k_Z: k_A = +-(32, -1) has S5 = 32 - 2^5 = 0,
+    # the only candidates that pass the S5 filter. At c = 0, k.lambda
+    # vanishes to rounding and only (Ck)_A != 0 keeps k out; at c = 0.5,
+    # k.lambda itself does not vanish (S3 = 24). Both from the definitions.
+    A = [1, 2]
+    eps = np.finfo(float).eps
+    lam = np.array([lambda_coeff(n, c, "kdv2") for n in A])
+    C = c_matrix("kdv2", c, A)
+    for k in (np.array([32, -1]), np.array([-32, 1])):
+        kl, kl_round = abs(k @ lam), 8 * eps * (np.abs(k) @ np.abs(lam))
+        assert (kl <= kl_round) if c == 0 else (kl > 1e6 * kl_round)
+        Ck, Ck_round = np.abs(C @ k), 8 * eps * (np.abs(C) @ np.abs(k))
+        assert np.all(Ck > 1e6 * Ck_round)
+    assert resonance_scan(A, c, kmax=32, window=2) == []
 
 
 @pytest.mark.parametrize("A", [[0], [0, 3], [-1, 2], [2, -3]])

@@ -5,6 +5,7 @@ import pytest
 
 from kdvfreq import hill
 from kdvfreq._dop853 import integrate_hill
+from kdvfreq.errors import IntegrationError
 from kdvfreq.hill import discriminant, discriminant_batch, periodic_spectrum
 from kdvfreq.potentials import cosine_sum, evaluate, make_potential, single_mode
 
@@ -97,12 +98,22 @@ def test_without_dlam_gives_the_state_rows(dtype, tol):
     q = cosine_sum([(1, 0.4), (2, 0.35), (3, 0.3), (4, 0.25)])
     qf = hill._qfun(q, dtype)
     lams = np.array([-5.0, 10.0, 100.0, 1000.0, 3000.0, 6000.0], dtype=dtype)
-    full = integrate_hill(qf, lams, tol, tol, with_dlam=True)
-    rows = integrate_hill(qf, lams, tol, tol, with_dlam=False)
+    full = integrate_hill(qf, lams, tol, with_dlam=True)
+    rows = integrate_hill(qf, lams, tol, with_dlam=False)
     assert full.shape == (8, lams.size) and rows.shape == (4, lams.size)
     noise = np.array([hill._delta_noise(abs(float(lam)), tol) for lam in lams])
     scale = np.maximum(1.0, np.abs(full[:4].astype(float)))
     assert np.all(np.abs((full[:4] - rows).astype(float)) <= noise * scale)
+
+
+@pytest.mark.parametrize("amp", [1e10, 1e30, 1e200])
+def test_overflowing_shooting_raises(amp):
+    # the state overflows within a few steps; a step whose error estimate is
+    # NaN or infinite is never accepted, so the step size shrinks until it
+    # underflows instead of carrying NaN to x = 1
+    q = make_potential([(1, amp)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError):
+        discriminant(q, 1.0)
 
 
 def test_discriminant_vs_fd_oracle():

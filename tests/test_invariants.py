@@ -60,7 +60,7 @@ def test_gap_index_outside_the_spectrum_rejected(k):
     assert spec.N == 12
     psi = psi_solve(spec, 1)
     with pytest.raises(ValidationError, match="outside spectrum range 1..12"):
-        condition_integral(spec, psi, k)
+        condition_integral(psi, k)
 
 
 def test_action_nonnegative_and_zero_iff_collapsed():
@@ -77,7 +77,7 @@ def test_action_nonnegative_and_zero_iff_collapsed():
 
 def test_moment_identity_row(pipe_single):
     q, spec, psis, mom, acts = pipe_single
-    om0 = inv.omega0_table(spec, psis, 4, 4)
+    om0 = inv.omega0_table(psis)
     assert np.max(np.abs(om0[1:, 1:] - np.eye(4))) < 1e-8
 
 

@@ -190,7 +190,7 @@ def test_F_table_matches_shooting(name, dtype):
     # _delta_noise, on the nodes with |t| < 0.9 (sinh F -> 0 at the edges)
     q, floor = F_CASES[name]
     spec = inv.spectrum_for(q, 12, dtype=dtype)
-    F_int, F_shoot = inv._F_table(spec), gap_F_values(q, spec)
+    F_int, F_shoot = inv._F_table(spec), gap_F_values(spec)
     assert sorted(F_int) == sorted(F_shoot) == spec.open_indices()
     inner = np.abs(cheb_nodes(NODES)) < 0.9
     for k in spec.open_indices():
@@ -224,15 +224,15 @@ def test_psi_one_open_gap_self_consistency():
     for k in spec.open_indices():
         if k == 2:
             continue
-        assert abs(condition_integral(spec, psi, k)) <= 1e-8
+        assert abs(condition_integral(psi, k)) <= 1e-8
 
 
 def test_psi_normalization_row(spec_two):
     psi = psi_solve(spec_two, 1)
-    assert condition_integral(spec_two, psi, 1) == pytest.approx(1.0, abs=1e-12)
+    assert condition_integral(psi, 1) == pytest.approx(1.0, abs=1e-12)
     for k in spec_two.open_indices():
         if k != 1:
-            assert abs(condition_integral(spec_two, psi, k)) <= 1e-8
+            assert abs(condition_integral(psi, k)) <= 1e-8
 
 
 def test_psi_localization_and_prefactor(spec_two):
